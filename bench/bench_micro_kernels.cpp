@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks of the inference kernels: vote
-// computation, sigmoid/log-sum-exp, the SoA EM kernels (src/kernels/) on
-// both kinds with bytes-processed GB/s, matrix compilation, one EM
+// computation, sigmoid/log-sum-exp, the SoA EM kernels (src/kernels/) with
+// bytes-processed GB/s, matrix compilation, one EM
 // iteration, and a PageRank sweep. These are the building blocks whose
 // cost the Table 7 stage timings aggregate.
 #include <benchmark/benchmark.h>
@@ -54,7 +54,7 @@ void BM_LogSumExp(benchmark::State& state) {
 }
 BENCHMARK(BM_LogSumExp)->Arg(4)->Arg(64)->Arg(1024);
 
-// ---- SoA EM kernels: both kinds, bytes-processed so the reporter prints
+// ---- SoA EM kernels: bytes-processed so the reporter prints
 // GB/s next to each timing (the bytes are the streams the kernel actually
 // touches: indices, gathered tables, weight/posterior reads, staged
 // writes — matching the bytes-touched model in bench_table7_efficiency).
@@ -101,49 +101,37 @@ KernelStreams& SharedStreams() {
   return streams;
 }
 
-kernels::Kind KindArg(const benchmark::State& state) {
-  return state.range(1) == 0 ? kernels::Kind::kScalarReference
-                             : kernels::Kind::kVectorized;
-}
-
 void BM_TallyIndexed(benchmark::State& state) {
   const KernelStreams& s = SharedStreams();
   const size_t n = static_cast<size_t>(state.range(0));
-  const kernels::Kind kind = KindArg(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        kernels::TallyIndexed(kind, s.idx.data(), n, s.w.data(), s.p.data()));
+        kernels::TallyIndexed(s.idx.data(), n, s.w.data(), s.p.data()));
   }
   // idx 4 + gathered w 8 + gathered p 8 per element.
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n) * (4 + 8 + 8));
-  state.SetLabel(std::string(kernels::KindName(kind)));
 }
-BENCHMARK(BM_TallyIndexed)
-    ->ArgsProduct({{4096, 262144}, {0, 1}});
+BENCHMARK(BM_TallyIndexed)->Arg(4096)->Arg(262144);
 
 void BM_TallyEdges(benchmark::State& state) {
   const KernelStreams& s = SharedStreams();
   const size_t n = static_cast<size_t>(state.range(0));
-  const kernels::Kind kind = KindArg(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kernels::TallyEdges(
-        kind, s.idx.data(), n, s.conf.data(), s.group.data(), s.p.data()));
+        s.idx.data(), n, s.conf.data(), s.group.data(), s.p.data()));
   }
   // edge idx 4 + conf 4 + slot idx 4 + gathered correctness 8 per element.
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n) * (4 + 4 + 4 + 8));
-  state.SetLabel(std::string(kernels::KindName(kind)));
 }
-BENCHMARK(BM_TallyEdges)
-    ->ArgsProduct({{4096, 262144}, {0, 1}});
+BENCHMARK(BM_TallyEdges)->Arg(4096)->Arg(262144);
 
 void BM_StageVotesMasked(benchmark::State& state) {
   KernelStreams& s = SharedStreams();
   const size_t n = static_cast<size_t>(state.range(0));
-  const kernels::Kind kind = KindArg(state);
   for (auto _ : state) {
-    kernels::StageVotesMasked(kind, s.mask.data(), s.w.data(), s.idx.data(),
+    kernels::StageVotesMasked(s.mask.data(), s.w.data(), s.idx.data(),
                               s.table.data(), 0, n, s.out.data());
     benchmark::DoNotOptimize(s.out.data());
     benchmark::ClobberMemory();
@@ -151,28 +139,23 @@ void BM_StageVotesMasked(benchmark::State& state) {
   // mask 8 + weight 8 + idx 4 + gathered table 8 + staged write 8.
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n) * (8 + 8 + 4 + 8 + 8));
-  state.SetLabel(std::string(kernels::KindName(kind)));
 }
-BENCHMARK(BM_StageVotesMasked)
-    ->ArgsProduct({{4096, 262144}, {0, 1}});
+BENCHMARK(BM_StageVotesMasked)->Arg(4096)->Arg(262144);
 
 void BM_StageEdgeTerms(benchmark::State& state) {
   KernelStreams& s = SharedStreams();
   const size_t n = static_cast<size_t>(state.range(0));
-  const kernels::Kind kind = KindArg(state);
   for (auto _ : state) {
-    kernels::StageEdgeTerms(kind, s.conf.data(), s.group.data(), s.net.data(),
-                            0, n, s.out.data());
+    kernels::StageEdgeTerms(s.conf.data(), s.group.data(), s.net.data(), 0, n,
+                            s.out.data());
     benchmark::DoNotOptimize(s.out.data());
     benchmark::ClobberMemory();
   }
   // conf 4 + group 4 + gathered net 8 + term write 8.
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n) * (4 + 4 + 8 + 8));
-  state.SetLabel(std::string(kernels::KindName(kind)));
 }
-BENCHMARK(BM_StageEdgeTerms)
-    ->ArgsProduct({{4096, 262144}, {0, 1}});
+BENCHMARK(BM_StageEdgeTerms)->Arg(4096)->Arg(262144);
 
 exp::SyntheticData& SharedSynthetic() {
   static exp::SyntheticData data = [] {

@@ -26,7 +26,6 @@
 #include "bench/bench_json.h"
 #include "kbt/kbt.h"
 #include "kernels/kernel_kind.h"
-#include "kernels/kernels.h"
 
 namespace {
 
@@ -336,9 +335,7 @@ int main(int argc, char** argv) {
                        exp::TablePrinter::Fmt(scalar_kernel.em_pass_seconds, 6),
                        exp::TablePrinter::Fmt(scalar_kernel.em_pass_gbps, 3),
                        "1.000"});
-  kernel_table.AddRow({std::string("vectorized (") +
-                           std::string(kernels::IsaName(kernels::ActiveIsa())) +
-                           ")",
+  kernel_table.AddRow({"vectorized",
                        exp::TablePrinter::Fmt(vector_kernel.triple_pr_seconds,
                                               6),
                        exp::TablePrinter::Fmt(vector_kernel.src_accu_seconds,
@@ -358,8 +355,6 @@ int main(int argc, char** argv) {
                      static_cast<double>(kv->corpus.num_pages()));
   writer.AddMetadata("corpus_observations",
                      static_cast<double>(kv->data.size()));
-  writer.AddMetadata("isa",
-                     std::string(kernels::IsaName(kernels::ActiveIsa())));
   writer.AddMetric("unit_seconds", unit, "seconds");
   writer.AddMetric("em_pass_speedup", em_speedup, "ratio");
   writer.AddMetric("scalar_em_pass_seconds_per_iter",
@@ -375,7 +370,6 @@ int main(int argc, char** argv) {
   std::snprintf(
       kernels_buf, sizeof(kernels_buf),
       "{\n"
-      "    \"isa\": \"%s\",\n"
       "    \"num_slots\": %zu,\n"
       "    \"scalar_reference\": {\"em_pass_seconds_per_iter\": %.6f, "
       "\"em_pass_gbps\": %.3f, \"triple_pr_seconds_per_iter\": %.6f, "
@@ -391,13 +385,12 @@ int main(int argc, char** argv) {
       "    \"roofline_note\": \"the E/M pass runs at ~0.2 flop/byte, so it "
       "sits on the memory roof: once em_pass_gbps approaches this machine's "
       "STREAM-class bandwidth, further speedup must come from touching "
-      "fewer bytes (layout, blocking), not from more SIMD flops; the "
-      "vectorized kind's win is mostly transcendental-call elision — the "
+      "fewer bytes (layout, blocking), not from a faster arithmetic path; "
+      "the vectorized kind's win is transcendental-call elision — the "
       "memoized per-source vote table (one log per source instead of one "
       "per slot) and the precompiled value grouping (one exp per distinct "
       "value instead of one per slot)\"\n"
       "  }",
-      std::string(kernels::IsaName(kernels::ActiveIsa())).c_str(),
       scalar_kernel.num_slots, scalar_kernel.em_pass_seconds,
       scalar_kernel.em_pass_gbps, scalar_kernel.triple_pr_seconds,
       scalar_kernel.src_accu_seconds, vector_kernel.em_pass_seconds,

@@ -50,6 +50,17 @@ textually over src/ and include/:
                      baseline is empty and stays empty (the ratchet only
                      tightens).
 
+  isa-intrinsics     No hand-written SIMD in src/ or include/: no
+                     intrinsic headers (<immintrin.h> and the other x86
+                     *intrin.h headers, <arm_neon.h>), no
+                     __builtin_cpu_supports runtime dispatch, no
+                     __attribute__((target(...))) multiversioning. The EM
+                     kernels are one portable scalar lane implementation
+                     per primitive because the AVX2/NEON paths measured no
+                     end-to-end gain; an ISA path returns only through a
+                     change that adds it to ISA_ALLOWLIST together with a
+                     measured win. The allowlist is empty.
+
 A finding can be waived on its own line (or the line above) with
     // kbt-lint: allow(<rule>) -- <justification>
 Use sparingly; the waiver text is grep-able review surface.
@@ -126,6 +137,21 @@ RAW_SYNC_PATTERNS = [
      "raw sync header include"),
 ]
 
+# --- rule: isa-intrinsics --------------------------------------------------
+
+# Files allowed to carry hand-written SIMD. Empty: an entry comes only with a
+# measured end-to-end win for the path it admits.
+ISA_ALLOWLIST: set[str] = set()
+
+ISA_PATTERNS = [
+    (re.compile(r"#\s*include\s+<\w*intrin\.h>"), "x86 intrinsics header"),
+    (re.compile(r"#\s*include\s+<arm_neon\.h>"), "<arm_neon.h>"),
+    (re.compile(r"__builtin_cpu_supports\b"),
+     "__builtin_cpu_supports runtime ISA dispatch"),
+    (re.compile(r"__attribute__\s*\(\(\s*target\s*\("),
+     "__attribute__((target(...))) ISA multiversioning"),
+]
+
 # --- rule: metric-naming ----------------------------------------------------
 
 METRIC_CALL_RE = re.compile(r'Get(Counter|Gauge|Histogram)\(\s*"([^"]+)"')
@@ -191,6 +217,8 @@ class Linter:
             return
         if rel not in SYNC_ALLOWLIST:
             self.check_raw_sync(path, code_lines, raw_lines)
+        if rel not in ISA_ALLOWLIST:
+            self.check_isa_intrinsics(path, code_lines, raw_lines)
         if any(rel.startswith(d + "/") for d in DETERMINISM_DIRS):
             self.check_determinism(path, code_lines, raw_lines)
             self.check_unordered_iteration(path, code_lines, raw_lines)
@@ -208,6 +236,17 @@ class Linter:
                         "raw-sync", path, i,
                         f"{what}: use kbt::Mutex/MutexLock/CondVar from "
                         "common/mutex.h (public headers: kbt/sync.h)",
+                        raw_lines)
+
+    def check_isa_intrinsics(self, path, code_lines, raw_lines) -> None:
+        for i, line in enumerate(code_lines, 1):
+            for pattern, what in ISA_PATTERNS:
+                if pattern.search(line):
+                    self.report(
+                        "isa-intrinsics", path, i,
+                        f"{what}: the EM kernels are portable scalar code; "
+                        "an ISA path needs a measured end-to-end win and an "
+                        "ISA_ALLOWLIST entry in scripts/lint_invariants.py",
                         raw_lines)
 
     def check_metric_naming(self, path, code_lines, raw_lines) -> None:

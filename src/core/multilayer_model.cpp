@@ -445,8 +445,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
               ++s2;
             }
             scratch.edge_terms.resize(ee - eb);
-            kernels::StageEdgeTerms(kind, conf.data(),
-                                    matrix.ext_group().data(),
+            kernels::StageEdgeTerms(conf.data(), matrix.ext_group().data(),
                                     net_vote.data(), eb, ee,
                                     scratch.edge_terms.data());
             for (; s < s2; ++s) {
@@ -571,14 +570,13 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
             scratch.votes.resize(slot_e - slot_b);
             if (config.value_model == ValueModel::kAccu) {
               kernels::StageVotesMasked(
-                  kind, support_mask.data(), wc_ptr,
-                  matrix.slot_sources().data(), src_vote.data(), slot_b,
-                  slot_e, scratch.votes.data());
+                  support_mask.data(), wc_ptr, matrix.slot_sources().data(),
+                  src_vote.data(), slot_b, slot_e, scratch.votes.data());
             } else {
               kernels::StageVotesMaskedSub(
-                  kind, support_mask.data(), wc_ptr,
-                  matrix.slot_sources().data(), src_vote.data(),
-                  log_pop.data(), slot_b, slot_e, scratch.votes.data());
+                  support_mask.data(), wc_ptr, matrix.slot_sources().data(),
+                  src_vote.data(), log_pop.data(), slot_b, slot_e,
+                  scratch.votes.data());
             }
             for (; i < j; ++i) {
               const auto [b, e] = matrix.ItemSlots(i);
@@ -651,11 +649,9 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
         // assignment stays positional across kernel kinds).
         const kernels::Tally tally =
             config.weighted_value_votes
-                ? kernels::TallyIndexed(kind, idx, e - b,
-                                        r.slot_correct_prob.data(),
+                ? kernels::TallyIndexed(idx, e - b, r.slot_correct_prob.data(),
                                         r.slot_value_prob.data())
-                : kernels::TallyMap(kind, idx, e - b,
-                                    r.slot_correct_prob.data(),
+                : kernels::TallyMap(idx, e - b, r.slot_correct_prob.data(),
                                     r.slot_value_prob.data());
         if (tally.den > 1e-12) {
           r.source_accuracy[w] = clampP(tally.num / tally.den);
@@ -693,7 +689,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
         if (!r.extractor_supported[g]) return;
         const auto [b, e] = matrix.ExtractorEdges(static_cast<uint32_t>(g));
         const kernels::Tally tally = kernels::TallyEdges(
-            kind, matrix.extractor_edge_index().data() + b, e - b, conf.data(),
+            matrix.extractor_edge_index().data() + b, e - b, conf.data(),
             matrix.ext_slots().data(), r.slot_correct_prob.data());
         const double sum_joint = tally.num;
         const double sum_conf = tally.den;

@@ -240,12 +240,12 @@ StatusOr<SingleLayerResult> SingleLayerModel::Run(
             scratch.votes.resize(slot_e - slot_b);
             if (config.value_model == ValueModel::kAccu) {
               kernels::StageVotesMasked(
-                  kind, support_mask.data(), claim_weight.data(),
+                  support_mask.data(), claim_weight.data(),
                   matrix.slot_sources().data(), src_vote.data(), slot_b,
                   slot_e, scratch.votes.data());
             } else {
               kernels::StageVotesMaskedSub(
-                  kind, support_mask.data(), claim_weight.data(),
+                  support_mask.data(), claim_weight.data(),
                   matrix.slot_sources().data(), src_vote.data(),
                   log_pop.data(), slot_b, slot_e, scratch.votes.data());
             }
@@ -311,8 +311,8 @@ StatusOr<SingleLayerResult> SingleLayerModel::Run(
         if (!r.source_supported[w]) return;
         const auto [b, e] = matrix.SourceSlots(static_cast<uint32_t>(w));
         const kernels::Tally tally = kernels::TallyIndexed(
-            kind, matrix.source_slot_index().data() + b, e - b,
-            claim_weight.data(), r.slot_value_prob.data());
+            matrix.source_slot_index().data() + b, e - b, claim_weight.data(),
+            r.slot_value_prob.data());
         if (tally.den > 1e-12) {
           r.source_accuracy[w] = clampP(tally.num / tally.den);
         }

@@ -6,8 +6,9 @@
 namespace kbt::kb {
 
 /// Dense integer identifiers. Entities, literal values, predicates, websites,
-/// pages, extractors and patterns are interned once (common/string_pool) and
-/// referred to by id in every hot path.
+/// pages, extractors and patterns are numbered densely when the world is
+/// generated (corpus/, exp/) and stay numeric through TSV persistence (io/);
+/// every hot path refers to them by id alone.
 using EntityId = uint32_t;
 /// Objects share the entity id space: an object is either a real entity or a
 /// literal registered as a value-entity (number, date, string).

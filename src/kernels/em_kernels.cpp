@@ -4,156 +4,24 @@
 #include <cstdint>
 
 #include "common/math.h"
-#include "kernels/em_kernels_impl.h"
 #include "kernels/kernel_kind.h"
 #include "kernels/kernels.h"
 
-namespace kbt::kernels {
-
-namespace internal {
-
-Tally TallyIndexedScalar(const uint32_t* idx, size_t n, const double* w,
-                         const double* p) {
-  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  size_t k = 0;
-  for (; k + kTallyLanes <= n; k += kTallyLanes) {
-    for (size_t j = 0; j < kTallyLanes; ++j) {
-      const uint32_t s = idx[k + j];
-      num[j] += w[s] * p[s];
-      den[j] += w[s];
-    }
-  }
-  for (size_t j = 0; k < n; ++k, ++j) {
-    const uint32_t s = idx[k];
-    num[j] += w[s] * p[s];
-    den[j] += w[s];
-  }
-  return Tally{CombineLanes(num), CombineLanes(den)};
-}
-
-Tally TallyMapScalar(const uint32_t* idx, size_t n, const double* c,
-                     const double* p) {
-  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  size_t k = 0;
-  for (; k + kTallyLanes <= n; k += kTallyLanes) {
-    for (size_t j = 0; j < kTallyLanes; ++j) {
-      const uint32_t s = idx[k + j];
-      const double m = c[s] > 0.5 ? 1.0 : 0.0;
-      num[j] += m * p[s];
-      den[j] += m;
-    }
-  }
-  for (size_t j = 0; k < n; ++k, ++j) {
-    const uint32_t s = idx[k];
-    const double m = c[s] > 0.5 ? 1.0 : 0.0;
-    num[j] += m * p[s];
-    den[j] += m;
-  }
-  return Tally{CombineLanes(num), CombineLanes(den)};
-}
-
-Tally TallyEdgesScalar(const uint32_t* edges, size_t n, const float* conf,
-                       const uint32_t* edge_slot, const double* c) {
-  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
-  size_t k = 0;
-  for (; k + kTallyLanes <= n; k += kTallyLanes) {
-    for (size_t j = 0; j < kTallyLanes; ++j) {
-      const uint32_t e = edges[k + j];
-      const double w = static_cast<double>(conf[e]);
-      num[j] += w * c[edge_slot[e]];
-      den[j] += w;
-    }
-  }
-  for (size_t j = 0; k < n; ++k, ++j) {
-    const uint32_t e = edges[k];
-    const double w = static_cast<double>(conf[e]);
-    num[j] += w * c[edge_slot[e]];
-    den[j] += w;
-  }
-  return Tally{CombineLanes(num), CombineLanes(den)};
-}
-
-void StageVotesScalar(const double* weight, const uint32_t* index,
-                      const double* table, size_t begin, size_t end,
-                      double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = weight[i] * table[index[i]];
-  }
-}
-
-void StageVotesMaskedScalar(const double* mask, const double* weight,
-                            const uint32_t* index, const double* table,
-                            size_t begin, size_t end, double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = (mask[i] * weight[i]) * table[index[i]];
-  }
-}
-
-void StageVotesSubScalar(const double* weight, const uint32_t* index,
-                         const double* table, const double* sub, size_t begin,
-                         size_t end, double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = weight[i] * (table[index[i]] - sub[i]);
-  }
-}
-
-void StageVotesMaskedSubScalar(const double* mask, const double* weight,
-                               const uint32_t* index, const double* table,
-                               const double* sub, size_t begin, size_t end,
-                               double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]);
-  }
-}
-
-void StageEdgeTermsScalar(const float* conf, const uint32_t* group,
-                          const double* net, size_t begin, size_t end,
-                          double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t e = begin; e < end; ++e) {
-    out[e - begin] = static_cast<double>(conf[e]) * net[group[e]];
-  }
-}
-
-namespace {
-
-Isa DetectIsa() {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-  return Isa::kNeon;
+/// `#pragma omp simd`-style hint for the elementwise staging loops: tells the
+/// auto-vectorizer the loop is dependence-free. Elementwise staging has no
+/// reduction to reassociate and the module compiles with -ffp-contract=off,
+/// so auto-vectorizing these loops cannot change results.
+#if defined(_OPENMP)
+#define KBT_KERNELS_SIMD_LOOP _Pragma("omp simd")
+#elif defined(__clang__)
+#define KBT_KERNELS_SIMD_LOOP _Pragma("clang loop vectorize(enable)")
+#elif defined(__GNUC__)
+#define KBT_KERNELS_SIMD_LOOP _Pragma("GCC ivdep")
 #else
-  return Isa::kScalar;
+#define KBT_KERNELS_SIMD_LOOP
 #endif
-}
 
-}  // namespace
-}  // namespace internal
-
-Isa ActiveIsa() {
-  static const Isa isa = internal::DetectIsa();
-  return isa;
-}
-
-std::string_view IsaName(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return "scalar";
-    case Isa::kAvx2:
-      return "avx2";
-    case Isa::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
+namespace kbt::kernels {
 
 Kind DefaultKind() {
 #if defined(KBT_KERNELS_DEFAULT_SCALAR)
@@ -175,165 +43,120 @@ std::string_view KindName(Kind kind) {
 
 namespace {
 
-bool UseVector(Kind kind, Isa isa) {
-  return kind == Kind::kVectorized && isa != Isa::kScalar;
+/// The contract's lane combine: (l0 + l1) + (l2 + l3). Every tally funnels
+/// through this exact expression.
+inline double CombineLanes(const double lanes[kTallyLanes]) {
+  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
 }
 
 }  // namespace
 
-Tally TallyIndexed(Kind kind, const uint32_t* idx, size_t n, const double* w,
+Tally TallyIndexed(const uint32_t* idx, size_t n, const double* w,
                    const double* p) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) return internal::TallyIndexedAvx2(idx, n, w, p);
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) return internal::TallyIndexedNeon(idx, n, w, p);
-#endif
+  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  size_t k = 0;
+  for (; k + kTallyLanes <= n; k += kTallyLanes) {
+    for (size_t j = 0; j < kTallyLanes; ++j) {
+      const uint32_t s = idx[k + j];
+      num[j] += w[s] * p[s];
+      den[j] += w[s];
+    }
   }
-  return internal::TallyIndexedScalar(idx, n, w, p);
+  for (size_t j = 0; k < n; ++k, ++j) {
+    const uint32_t s = idx[k];
+    num[j] += w[s] * p[s];
+    den[j] += w[s];
+  }
+  return Tally{CombineLanes(num), CombineLanes(den)};
 }
 
-Tally TallyMap(Kind kind, const uint32_t* idx, size_t n, const double* c,
+Tally TallyMap(const uint32_t* idx, size_t n, const double* c,
                const double* p) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) return internal::TallyMapAvx2(idx, n, c, p);
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) return internal::TallyMapNeon(idx, n, c, p);
-#endif
+  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  size_t k = 0;
+  for (; k + kTallyLanes <= n; k += kTallyLanes) {
+    for (size_t j = 0; j < kTallyLanes; ++j) {
+      const uint32_t s = idx[k + j];
+      const double m = c[s] > 0.5 ? 1.0 : 0.0;
+      num[j] += m * p[s];
+      den[j] += m;
+    }
   }
-  return internal::TallyMapScalar(idx, n, c, p);
+  for (size_t j = 0; k < n; ++k, ++j) {
+    const uint32_t s = idx[k];
+    const double m = c[s] > 0.5 ? 1.0 : 0.0;
+    num[j] += m * p[s];
+    den[j] += m;
+  }
+  return Tally{CombineLanes(num), CombineLanes(den)};
 }
 
-Tally TallyEdges(Kind kind, const uint32_t* edges, size_t n, const float* conf,
+Tally TallyEdges(const uint32_t* edges, size_t n, const float* conf,
                  const uint32_t* edge_slot, const double* c) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      return internal::TallyEdgesAvx2(edges, n, conf, edge_slot, c);
+  double num[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  double den[kTallyLanes] = {0.0, 0.0, 0.0, 0.0};
+  size_t k = 0;
+  for (; k + kTallyLanes <= n; k += kTallyLanes) {
+    for (size_t j = 0; j < kTallyLanes; ++j) {
+      const uint32_t e = edges[k + j];
+      const double w = static_cast<double>(conf[e]);
+      num[j] += w * c[edge_slot[e]];
+      den[j] += w;
     }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      return internal::TallyEdgesNeon(edges, n, conf, edge_slot, c);
-    }
-#endif
   }
-  return internal::TallyEdgesScalar(edges, n, conf, edge_slot, c);
+  for (size_t j = 0; k < n; ++k, ++j) {
+    const uint32_t e = edges[k];
+    const double w = static_cast<double>(conf[e]);
+    num[j] += w * c[edge_slot[e]];
+    den[j] += w;
+  }
+  return Tally{CombineLanes(num), CombineLanes(den)};
 }
 
-void StageVotes(Kind kind, const double* weight, const uint32_t* index,
+void StageVotes(const double* weight, const uint32_t* index,
                 const double* table, size_t begin, size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesAvx2(weight, index, table, begin, end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesNeon(weight, index, table, begin, end, out);
-      return;
-    }
-#endif
+  KBT_KERNELS_SIMD_LOOP
+  for (size_t i = begin; i < end; ++i) {
+    out[i - begin] = weight[i] * table[index[i]];
   }
-  internal::StageVotesScalar(weight, index, table, begin, end, out);
 }
 
-void StageVotesMasked(Kind kind, const double* mask, const double* weight,
+void StageVotesMasked(const double* mask, const double* weight,
                       const uint32_t* index, const double* table, size_t begin,
                       size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesMaskedAvx2(mask, weight, index, table, begin, end,
-                                     out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesMaskedNeon(mask, weight, index, table, begin, end,
-                                     out);
-      return;
-    }
-#endif
+  KBT_KERNELS_SIMD_LOOP
+  for (size_t i = begin; i < end; ++i) {
+    out[i - begin] = (mask[i] * weight[i]) * table[index[i]];
   }
-  internal::StageVotesMaskedScalar(mask, weight, index, table, begin, end, out);
 }
 
-void StageVotesSub(Kind kind, const double* weight, const uint32_t* index,
+void StageVotesSub(const double* weight, const uint32_t* index,
                    const double* table, const double* sub, size_t begin,
                    size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesSubAvx2(weight, index, table, sub, begin, end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesSubNeon(weight, index, table, sub, begin, end, out);
-      return;
-    }
-#endif
+  KBT_KERNELS_SIMD_LOOP
+  for (size_t i = begin; i < end; ++i) {
+    out[i - begin] = weight[i] * (table[index[i]] - sub[i]);
   }
-  internal::StageVotesSubScalar(weight, index, table, sub, begin, end, out);
 }
 
-void StageVotesMaskedSub(Kind kind, const double* mask, const double* weight,
+void StageVotesMaskedSub(const double* mask, const double* weight,
                          const uint32_t* index, const double* table,
                          const double* sub, size_t begin, size_t end,
                          double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageVotesMaskedSubAvx2(mask, weight, index, table, sub, begin,
-                                        end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageVotesMaskedSubNeon(mask, weight, index, table, sub, begin,
-                                        end, out);
-      return;
-    }
-#endif
+  KBT_KERNELS_SIMD_LOOP
+  for (size_t i = begin; i < end; ++i) {
+    out[i - begin] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]);
   }
-  internal::StageVotesMaskedSubScalar(mask, weight, index, table, sub, begin,
-                                      end, out);
 }
 
-void StageEdgeTerms(Kind kind, const float* conf, const uint32_t* group,
+void StageEdgeTerms(const float* conf, const uint32_t* group,
                     const double* net, size_t begin, size_t end, double* out) {
-  const Isa isa = ActiveIsa();
-  if (UseVector(kind, isa)) {
-#if defined(KBT_KERNELS_HAVE_AVX2)
-    if (isa == Isa::kAvx2) {
-      internal::StageEdgeTermsAvx2(conf, group, net, begin, end, out);
-      return;
-    }
-#endif
-#if defined(KBT_KERNELS_HAVE_NEON)
-    if (isa == Isa::kNeon) {
-      internal::StageEdgeTermsNeon(conf, group, net, begin, end, out);
-      return;
-    }
-#endif
+  KBT_KERNELS_SIMD_LOOP
+  for (size_t e = begin; e < end; ++e) {
+    out[e - begin] = static_cast<double>(conf[e]) * net[group[e]];
   }
-  internal::StageEdgeTermsScalar(conf, group, net, begin, end, out);
 }
 
 double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,

@@ -6,19 +6,20 @@
 
 namespace kbt::kernels {
 
-/// Which implementation of the EM inner-loop kernels a model run uses.
-/// Both kinds execute the SAME float program — the deterministic blocked
-/// reduction contract (see kernels.h) pins the accumulation order — so
-/// their outputs are bit-for-bit identical; the parity suite in
-/// tests/kernels/ enforces that. The scalar reference is the oracle: a
-/// straightforward transcription of the paper's equations that is always
-/// compiled and never ISA-dispatched.
+/// Which program of the EM model loops a run uses. The two kinds share the
+/// staging and tally primitives of kernels.h (one implementation each) and
+/// differ in how the model layers drive them: naive per-slot loops versus
+/// staged, memoized sweeps. Both execute the SAME float program — the
+/// deterministic blocked reduction contract (see kernels.h) pins the
+/// accumulation order — so their outputs are bit-for-bit identical; the
+/// parity suite in tests/kernels/ enforces that. The scalar reference is
+/// the oracle: a straightforward transcription of the paper's equations.
 enum class Kind : uint8_t {
-  /// Naive per-slot loops, no staging, no SIMD. The testing oracle.
+  /// Naive per-slot loops, no staging, no memoization. The testing oracle.
   kScalarReference = 0,
   /// Structure-of-arrays staging, cache-blocked sweeps, per-source vote
-  /// memoization and AVX2/NEON inner loops (scalar fallback when the ISA
-  /// is unavailable). Bit-for-bit equal to kScalarReference.
+  /// memoization and exp-once-per-distinct-value item passes. Bit-for-bit
+  /// equal to kScalarReference.
   kVectorized = 1,
 };
 

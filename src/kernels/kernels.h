@@ -3,39 +3,38 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "kernels/kernel_kind.h"
 
-/// kbt::kernels — vectorized, cache-blocked EM inner loops.
+/// kbt::kernels — cache-blocked EM inner loops.
 ///
 /// The 3-layer EM over the extraction cube (Dong et al., VLDB 2015, Sec. 4)
 /// spends its time in four loop shapes: staging per-slot vote streams
 /// (E step / Stage I), grouping votes per item, and weighted tallies over
 /// the per-source / per-extractor CSR index lists (M steps / Stage IV).
-/// This module implements those shapes twice — a scalar reference and an
-/// ISA-dispatched vectorized path — under one contract:
+/// Each staging and tally primitive has exactly one portable implementation,
+/// shared by both kernel kinds; the kinds differ only in the model-level
+/// loops that call them and in ItemValuePass. One contract pins the float
+/// program:
 ///
 /// DETERMINISTIC REDUCTION CONTRACT. Every tally accumulates into
 /// kTallyLanes independent accumulators, element k landing in lane
 /// k % kTallyLanes, and the lanes combine as (l0 + l1) + (l2 + l3). The
 /// lane count and combine order are part of the contract, NOT an
-/// implementation detail: a 4-wide SIMD vertical accumulation produces
-/// exactly this order, so the scalar reference and the AVX2/NEON paths
-/// execute the same float program and their results match bit for bit, on
-/// any thread count and any ISA. Changing kTallyLanes or the combine order
-/// is a semantic change to every score the system serves.
+/// implementation detail: they are THE float program of every M-step
+/// tally, independent of thread count and of how a compiler chooses to
+/// vectorize the loop. Changing kTallyLanes or the combine order is a
+/// semantic change to every score the system serves.
 ///
-/// Staging kernels are elementwise (no reduction), so their parity needs
-/// only identical per-element arithmetic; none of them may be compiled
-/// with FP contraction (the build sets -ffp-contract=off on this module
-/// and on the model layers, so a fused multiply-add can never make the
-/// scalar and vector paths round differently).
+/// Staging kernels are elementwise (no reduction), so their results depend
+/// only on the per-element arithmetic; none of them may be compiled with FP
+/// contraction (the build sets -ffp-contract=off on this module and on the
+/// model layers, so a fused multiply-add can never make the staged and
+/// reference model loops round differently).
 namespace kbt::kernels {
 
-/// Lanes of the deterministic blocked tally (== 4 doubles: one AVX2
-/// register, two NEON registers). Part of the numeric contract.
+/// Lanes of the deterministic blocked tally. Part of the numeric contract.
 inline constexpr size_t kTallyLanes = 4;
 
 /// Cache-blocking unit for staged sweeps: slots/edges are staged and
@@ -43,16 +42,6 @@ inline constexpr size_t kTallyLanes = 4;
 /// stays in L1/L2. Purely a performance knob — block boundaries never
 /// affect results (staging is elementwise).
 inline constexpr size_t kStageBlock = 4096;
-
-/// Vector ISA the vectorized kind dispatches to at runtime.
-enum class Isa : uint8_t { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-
-/// The ISA the vectorized kind resolves to on this machine (detected once;
-/// AVX2 via cpuid on x86-64, NEON unconditionally on aarch64).
-Isa ActiveIsa();
-
-/// Stable display name: "scalar" / "avx2" / "neon".
-std::string_view IsaName(Isa isa);
 
 /// A weighted tally: num = sum w*p, den = sum w (the shared shape of the
 /// paper's M steps, Eqs. 4/27/28/32).
@@ -69,21 +58,20 @@ struct Tally {
 /// index list, in lane order. The per-source M-step tally: idx is the
 /// source's slot list, w the claim/correctness weights, p the value
 /// posteriors.
-Tally TallyIndexed(Kind kind, const uint32_t* idx, size_t n, const double* w,
+Tally TallyIndexed(const uint32_t* idx, size_t n, const double* w,
                    const double* p);
 
 /// MAP tally (Eq. 27): num = sum_k [c[idx[k]] > 0.5] * p[idx[k]],
 /// den = sum_k [c[idx[k]] > 0.5]. Masked lanes add +0.0 (never skip), so
 /// lane assignment stays positional.
-Tally TallyMap(Kind kind, const uint32_t* idx, size_t n, const double* c,
+Tally TallyMap(const uint32_t* idx, size_t n, const double* c,
                const double* p);
 
 /// Extractor-quality tally (Eqs. 32/33): over the group's edge list,
 /// num = sum_k conf[e_k] * c[edge_slot[e_k]], den = sum_k conf[e_k], with
 /// conf widened float -> double before the multiply (exact).
-Tally TallyEdges(Kind kind, const uint32_t* edges, size_t n,
-                 const float* conf, const uint32_t* edge_slot,
-                 const double* c);
+Tally TallyEdges(const uint32_t* edges, size_t n, const float* conf,
+                 const uint32_t* edge_slot, const double* c);
 
 // ---------------------------------------------------------------------------
 // Elementwise staging sweeps (contiguous [begin, end) ranges)
@@ -93,32 +81,32 @@ Tally TallyEdges(Kind kind, const uint32_t* edges, size_t n,
 /// vote staging: weight is the per-slot claim/correctness stream, table the
 /// per-source vote memo. out is indexed relative to begin (out[0]
 /// corresponds to element `begin`).
-void StageVotes(Kind kind, const double* weight, const uint32_t* index,
+void StageVotes(const double* weight, const uint32_t* index,
                 const double* table, size_t begin, size_t end, double* out);
 
 /// out[i] = (mask[i] * weight[i]) * table[index[i]]. Multilayer Stage II:
 /// mask is the 0/1 source-support stream (as doubles), weight the
 /// per-iteration p(C|X) stream.
-void StageVotesMasked(Kind kind, const double* mask, const double* weight,
-                      const uint32_t* index, const double* table,
-                      size_t begin, size_t end, double* out);
+void StageVotesMasked(const double* mask, const double* weight,
+                      const uint32_t* index, const double* table, size_t begin,
+                      size_t end, double* out);
 
 /// out[i] = weight[i] * (table[index[i]] - sub[i]). The POPACCU vote:
 /// table holds per-source log-odds, sub the per-slot log-popularity memo.
-void StageVotesSub(Kind kind, const double* weight, const uint32_t* index,
+void StageVotesSub(const double* weight, const uint32_t* index,
                    const double* table, const double* sub, size_t begin,
                    size_t end, double* out);
 
 /// out[i] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]). Multilayer
 /// POPACCU Stage II.
-void StageVotesMaskedSub(Kind kind, const double* mask, const double* weight,
+void StageVotesMaskedSub(const double* mask, const double* weight,
                          const uint32_t* index, const double* table,
                          const double* sub, size_t begin, size_t end,
                          double* out);
 
 /// out[e] = double(conf[e]) * net[group[e]] for e in [begin, end): the
 /// Stage I per-edge extraction-correctness term, net[g] = Pre_g - w*Abs_g.
-void StageEdgeTerms(Kind kind, const float* conf, const uint32_t* group,
+void StageEdgeTerms(const float* conf, const uint32_t* group,
                     const double* net, size_t begin, size_t end, double* out);
 
 // ---------------------------------------------------------------------------
@@ -175,8 +163,8 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
 /// of the static slot_values layout, so it is hoisted out of the iteration
 /// loop and computed once per Run). The vote accumulation visits slots in
 /// the same ascending order as the scanning version, the normalizer is the
-/// same, and the write-back is the vectorized gather — so the result is
-/// bit-for-bit identical to ItemValuePass on either kind (asserted by the
+/// same, and the write-back is the vectorized kind's gather — so the result
+/// is bit-for-bit identical to ItemValuePass on either kind (asserted by the
 /// parity suite). Used by the staged (vectorized) model paths only; the
 /// scalar reference keeps rediscovering the grouping per item, per
 /// iteration, as the naive program does.

@@ -1,8 +1,9 @@
 // Numeric edge cases the sanitizers care about: denormal inputs, votes at
 // the log-clamp boundaries, empty ranges, 1-element reduction blocks. Every
-// case runs on both kernel kinds and asserts bit-for-bit agreement, so a
+// primitive case asserts bit-for-bit agreement with the independent
+// contract transcription (tests/support/kernel_contract.h), so a
 // UBSan-visible shortcut (reading past n, skipping the empty-range early
-// return, widening a denormal differently) cannot hide in either path.
+// return, widening a denormal differently) cannot hide in the kernels.
 // Also home of the M-step scratch-reuse regression: the blocked tallies
 // must equal an independently computed sequential tally.
 #include "kernels/kernels.h"
@@ -19,42 +20,44 @@
 
 #include "common/math.h"
 #include "dataflow/parallel.h"
+#include "support/kernel_contract.h"
 
 namespace kbt::kernels {
 namespace {
 
+using kbt::testing::ContractTallyIndexed;
+using kbt::testing::ContractVote;
+
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
 TEST(KernelEdgesTest, EmptyRangesAreExactZeroOnBothKinds) {
-  // n = 0 with null-ish data: the kernels must not touch any pointer.
+  // n = 0 with null-ish data: the kernels must not touch any pointer. (The
+  // primitives are shared by both kinds, so one pass covers both.)
   const uint32_t* no_idx = nullptr;
   const double* no_d = nullptr;
   const float* no_f = nullptr;
-  for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
-    SCOPED_TRACE(KindName(kind));
-    const Tally t1 = TallyIndexed(kind, no_idx, 0, no_d, no_d);
-    EXPECT_EQ(Bits(t1.num), Bits(0.0));
-    EXPECT_EQ(Bits(t1.den), Bits(0.0));
-    const Tally t2 = TallyMap(kind, no_idx, 0, no_d, no_d);
-    EXPECT_EQ(Bits(t2.num), Bits(0.0));
-    EXPECT_EQ(Bits(t2.den), Bits(0.0));
-    const Tally t3 = TallyEdges(kind, no_idx, 0, no_f, no_idx, no_d);
-    EXPECT_EQ(Bits(t3.num), Bits(0.0));
-    EXPECT_EQ(Bits(t3.den), Bits(0.0));
-    // begin == end staging ranges are no-ops.
-    double out = 42.0;
-    StageVotes(kind, no_d, no_idx, no_d, 5, 5, &out);
-    StageVotesMasked(kind, no_d, no_d, no_idx, no_d, 5, 5, &out);
-    StageVotesSub(kind, no_d, no_idx, no_d, no_d, 5, 5, &out);
-    StageVotesMaskedSub(kind, no_d, no_d, no_idx, no_d, no_d, 5, 5, &out);
-    StageEdgeTerms(kind, no_f, no_idx, no_d, 5, 5, &out);
-    EXPECT_EQ(out, 42.0);
-  }
+  const Tally t1 = TallyIndexed(no_idx, 0, no_d, no_d);
+  EXPECT_EQ(Bits(t1.num), Bits(0.0));
+  EXPECT_EQ(Bits(t1.den), Bits(0.0));
+  const Tally t2 = TallyMap(no_idx, 0, no_d, no_d);
+  EXPECT_EQ(Bits(t2.num), Bits(0.0));
+  EXPECT_EQ(Bits(t2.den), Bits(0.0));
+  const Tally t3 = TallyEdges(no_idx, 0, no_f, no_idx, no_d);
+  EXPECT_EQ(Bits(t3.num), Bits(0.0));
+  EXPECT_EQ(Bits(t3.den), Bits(0.0));
+  // begin == end staging ranges are no-ops.
+  double out = 42.0;
+  StageVotes(no_d, no_idx, no_d, 5, 5, &out);
+  StageVotesMasked(no_d, no_d, no_idx, no_d, 5, 5, &out);
+  StageVotesSub(no_d, no_idx, no_d, no_d, 5, 5, &out);
+  StageVotesMaskedSub(no_d, no_d, no_idx, no_d, no_d, 5, 5, &out);
+  StageEdgeTerms(no_f, no_idx, no_d, 5, 5, &out);
+  EXPECT_EQ(out, 42.0);
 }
 
 TEST(KernelEdgesTest, DenormalWeightsAgreeBitForBit) {
-  // Weights and probabilities deep in the denormal range: flush-to-zero
-  // differences between the scalar and SIMD paths would show up here.
+  // Weights and probabilities deep in the denormal range: a flush-to-zero
+  // or differently widened product in the kernels would show up here.
   const double denorm = 5e-324;             // smallest positive denormal
   const double tiny = 1e-310;               // mid-range denormal
   ASSERT_LT(tiny, std::numeric_limits<double>::min());
@@ -64,21 +67,17 @@ TEST(KernelEdgesTest, DenormalWeightsAgreeBitForBit) {
                                  0.25, 1.0,  0.75, tiny};
   std::vector<uint32_t> idx(w.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = uint32_t(i);
-  const Tally s =
-      TallyIndexed(Kind::kScalarReference, idx.data(), idx.size(), w.data(),
-                   p.data());
-  const Tally v = TallyIndexed(Kind::kVectorized, idx.data(), idx.size(),
-                               w.data(), p.data());
-  EXPECT_EQ(Bits(s.num), Bits(v.num));
-  EXPECT_EQ(Bits(s.den), Bits(v.den));
+  const Tally got = TallyIndexed(idx.data(), idx.size(), w.data(), p.data());
+  const Tally want =
+      ContractTallyIndexed(idx.data(), idx.size(), w.data(), p.data());
+  EXPECT_EQ(Bits(got.num), Bits(want.num));
+  EXPECT_EQ(Bits(got.den), Bits(want.den));
 
-  std::vector<double> out_s(w.size()), out_v(w.size());
-  StageVotes(Kind::kScalarReference, w.data(), idx.data(), p.data(), 0,
-             w.size(), out_s.data());
-  StageVotes(Kind::kVectorized, w.data(), idx.data(), p.data(), 0, w.size(),
-             out_v.data());
+  std::vector<double> out(w.size());
+  StageVotes(w.data(), idx.data(), p.data(), 0, w.size(), out.data());
   for (size_t i = 0; i < w.size(); ++i) {
-    ASSERT_EQ(Bits(out_s[i]), Bits(out_v[i])) << i;
+    const double vote = ContractVote(w.data(), idx.data(), p.data(), i);
+    ASSERT_EQ(Bits(out[i]), Bits(vote)) << i;
   }
 }
 
@@ -93,14 +92,14 @@ TEST(KernelEdgesTest, VotesAtClampBoundariesStayFinite) {
   std::vector<double> w(table.size(), 1.0);
   std::vector<uint32_t> idx(table.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = uint32_t(i);
-  std::vector<double> out_s(table.size()), out_v(table.size());
-  StageVotes(Kind::kScalarReference, w.data(), idx.data(), table.data(), 0,
-             table.size(), out_s.data());
-  StageVotes(Kind::kVectorized, w.data(), idx.data(), table.data(), 0,
-             table.size(), out_v.data());
+  std::vector<double> out_s(table.size());
+  StageVotes(w.data(), idx.data(), table.data(), 0, table.size(),
+             out_s.data());
   for (size_t i = 0; i < table.size(); ++i) {
     ASSERT_TRUE(std::isfinite(out_s[i]));
-    ASSERT_EQ(Bits(out_s[i]), Bits(out_v[i])) << i;
+    ASSERT_EQ(Bits(out_s[i]),
+              Bits(ContractVote(w.data(), idx.data(), table.data(), i)))
+        << i;
   }
   // An item voted entirely at the clamp bounds still yields a normalized
   // posterior (LogSumExp shifts by the max, so no overflow).
@@ -126,7 +125,7 @@ TEST(KernelEdgesTest, VotesAtClampBoundariesStayFinite) {
 
 TEST(KernelEdgesTest, SingleElementAndLaneBoundaryTallies) {
   // n = 1..5 crosses the lane horizon (4): the single element must land in
-  // lane 0 and the first tail element in the stored lane arrays.
+  // lane 0 and the first tail element back in lane 0 after a full row.
   std::mt19937_64 rng(2024);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   std::vector<double> w(8), p(8);
@@ -138,13 +137,8 @@ TEST(KernelEdgesTest, SingleElementAndLaneBoundaryTallies) {
   }
   for (size_t n = 1; n <= 5; ++n) {
     SCOPED_TRACE(n);
-    const Tally s =
-        TallyIndexed(Kind::kScalarReference, idx.data(), n, w.data(), p.data());
-    const Tally v =
-        TallyIndexed(Kind::kVectorized, idx.data(), n, w.data(), p.data());
-    ASSERT_EQ(Bits(s.num), Bits(v.num));
-    ASSERT_EQ(Bits(s.den), Bits(v.den));
-    // And the laned program really is the documented one: element k in lane
+    const Tally s = TallyIndexed(idx.data(), n, w.data(), p.data());
+    // The laned program really is the documented one: element k in lane
     // k % 4, lanes combined (l0 + l1) + (l2 + l3).
     double lane_num[kTallyLanes] = {0, 0, 0, 0};
     double lane_den[kTallyLanes] = {0, 0, 0, 0};
@@ -188,7 +182,7 @@ TEST(KernelEdgesTest, MStepTallyMatchesIndependentSequentialComputation) {
   // The scratch-churn fix moved the M-step through reusable buffers and
   // laned tallies; this guards the RESULT against that plumbing: the laned
   // tally must equal a plainly written sequential sum to 1e-12 relative,
-  // and the two kinds must agree exactly.
+  // and the contract transcription exactly.
   std::mt19937_64 rng(777);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   const size_t num_slots = 1537;  // odd, > kStageBlock / 4, not lane-aligned
@@ -203,21 +197,21 @@ TEST(KernelEdgesTest, MStepTallyMatchesIndependentSequentialComputation) {
   for (size_t s = num_slots; s > 1; --s) {
     std::swap(idx[s - 1], idx[rng() % s]);
   }
-  const Tally scalar = TallyIndexed(Kind::kScalarReference, idx.data(),
-                                    num_slots, weight.data(), prob.data());
-  const Tally vectorized = TallyIndexed(Kind::kVectorized, idx.data(),
-                                        num_slots, weight.data(), prob.data());
-  ASSERT_EQ(Bits(scalar.num), Bits(vectorized.num));
-  ASSERT_EQ(Bits(scalar.den), Bits(vectorized.den));
+  const Tally tally =
+      TallyIndexed(idx.data(), num_slots, weight.data(), prob.data());
+  const Tally contract =
+      ContractTallyIndexed(idx.data(), num_slots, weight.data(), prob.data());
+  ASSERT_EQ(Bits(tally.num), Bits(contract.num));
+  ASSERT_EQ(Bits(tally.den), Bits(contract.den));
   double num = 0.0, den = 0.0;
   for (size_t k = 0; k < num_slots; ++k) {
     num += weight[idx[k]] * prob[idx[k]];
     den += weight[idx[k]];
   }
-  EXPECT_NEAR(scalar.num, num, 1e-12 * std::abs(num));
-  EXPECT_NEAR(scalar.den, den, 1e-12 * std::abs(den));
+  EXPECT_NEAR(tally.num, num, 1e-12 * std::abs(num));
+  EXPECT_NEAR(tally.den, den, 1e-12 * std::abs(den));
   // And the derived accuracy (Eq. 4 / 28 shape) is a sane probability.
-  const double accuracy = scalar.num / scalar.den;
+  const double accuracy = tally.num / tally.den;
   EXPECT_GT(accuracy, 0.0);
   EXPECT_LT(accuracy, 1.0);
 }

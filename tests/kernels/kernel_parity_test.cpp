@@ -1,10 +1,12 @@
-// Differential kernel parity: the vectorized kind must match the
-// scalar_reference oracle BIT FOR BIT — on raw kernel sweeps over
-// adversarial sizes (0 / 1 / odd / SIMD-width +- 1), on whole model runs
-// with every estimator variant, and end to end through Pipeline::Run on
-// the plain, sharded (K = 2) and stream-tick backends. Any mismatch here
-// means the two kinds no longer execute the same float program and the
-// oracle policy (docs/ARCHITECTURE.md, "EM kernels") is broken.
+// Kernel parity. The staging and tally primitives must match an independent
+// transcription of the kernels.h contract (tests/support/kernel_contract.h)
+// BIT FOR BIT on adversarial sizes (0 / 1 / odd / lane-count +- 1); the
+// vectorized kind must match the scalar_reference oracle bit for bit on
+// whole model runs with every estimator variant and end to end through
+// Pipeline::Run on the plain, sharded (K = 2) and stream-tick backends. Any
+// mismatch here means the float program drifted from the contract or the
+// two kinds no longer execute the same one, and the oracle policy
+// (docs/ARCHITECTURE.md, "EM kernels") is broken.
 #include "kernels/kernels.h"
 
 #include <gtest/gtest.h>
@@ -28,13 +30,23 @@
 #include "kbt/shard.h"
 #include "kbt/stream.h"
 #include "support/corpus_fixture.h"
+#include "support/kernel_contract.h"
 
 namespace kbt::kernels {
 namespace {
 
-// Slot/edge counts crossing every dispatch boundary: empty, below one SIMD
-// register, exactly the lane count, one over, around two registers, around
-// the 64-entry unrolling horizon, and a bulk run.
+using kbt::testing::ContractEdgeTerm;
+using kbt::testing::ContractTallyEdges;
+using kbt::testing::ContractTallyIndexed;
+using kbt::testing::ContractTallyMap;
+using kbt::testing::ContractVote;
+using kbt::testing::ContractVoteMasked;
+using kbt::testing::ContractVoteMaskedSub;
+using kbt::testing::ContractVoteSub;
+
+// Slot/edge counts crossing every lane boundary: empty, below the lane
+// count, exactly the lane count, one over, around two and four lane rows,
+// around 64 entries, and a bulk run.
 const size_t kSweepSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 63, 64, 65, 1000};
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
@@ -107,12 +119,12 @@ TEST(KernelParityTest, TalliesMatchBitForBitAcrossSizes) {
     const KernelInputs in = MakeInputs(n, /*seed=*/0x9e3779b97f4a7c15 + n,
                                        /*all_false=*/false);
     {
-      const Tally s = TallyIndexed(Kind::kScalarReference, in.idx.data(), n,
-                                   in.w.data(), in.p.data());
-      const Tally v = TallyIndexed(Kind::kVectorized, in.idx.data(), n,
-                                   in.w.data(), in.p.data());
-      EXPECT_BITS_EQ(s.num, v.num);
-      EXPECT_BITS_EQ(s.den, v.den);
+      const Tally got =
+          TallyIndexed(in.idx.data(), n, in.w.data(), in.p.data());
+      const Tally want =
+          ContractTallyIndexed(in.idx.data(), n, in.w.data(), in.p.data());
+      EXPECT_BITS_EQ(got.num, want.num);
+      EXPECT_BITS_EQ(got.den, want.den);
     }
     {
       // The correctness stream for the MAP tally: values on both sides of
@@ -121,12 +133,11 @@ TEST(KernelParityTest, TalliesMatchBitForBitAcrossSizes) {
       for (size_t i = 0; i < c.size(); ++i) {
         c[i] = (i % 4 == 0) ? 0.5 : in.p[i];
       }
-      const Tally s = TallyMap(Kind::kScalarReference, in.idx.data(), n,
-                               c.data(), in.p.data());
-      const Tally v = TallyMap(Kind::kVectorized, in.idx.data(), n, c.data(),
-                               in.p.data());
-      EXPECT_BITS_EQ(s.num, v.num);
-      EXPECT_BITS_EQ(s.den, v.den);
+      const Tally got = TallyMap(in.idx.data(), n, c.data(), in.p.data());
+      const Tally want =
+          ContractTallyMap(in.idx.data(), n, c.data(), in.p.data());
+      EXPECT_BITS_EQ(got.num, want.num);
+      EXPECT_BITS_EQ(got.den, want.den);
     }
     {
       // edges index into conf; edge_slot maps each edge to a slot in p's
@@ -136,12 +147,12 @@ TEST(KernelParityTest, TalliesMatchBitForBitAcrossSizes) {
       for (size_t i = 0; i < edge_slot.size(); ++i) {
         edge_slot[i] = static_cast<uint32_t>(rng() % in.p.size());
       }
-      const Tally s = TallyEdges(Kind::kScalarReference, in.idx.data(), n,
-                                 in.conf.data(), edge_slot.data(), in.p.data());
-      const Tally v = TallyEdges(Kind::kVectorized, in.idx.data(), n,
-                                 in.conf.data(), edge_slot.data(), in.p.data());
-      EXPECT_BITS_EQ(s.num, v.num);
-      EXPECT_BITS_EQ(s.den, v.den);
+      const Tally got = TallyEdges(in.idx.data(), n, in.conf.data(),
+                                   edge_slot.data(), in.p.data());
+      const Tally want = ContractTallyEdges(in.idx.data(), n, in.conf.data(),
+                                            edge_slot.data(), in.p.data());
+      EXPECT_BITS_EQ(got.num, want.num);
+      EXPECT_BITS_EQ(got.den, want.den);
     }
   }
 }
@@ -153,40 +164,48 @@ TEST(KernelParityTest, StagingSweepsMatchBitForBitAcrossSizes) {
                                         << " all_false=" << all_false);
       const KernelInputs in =
           MakeInputs(n, /*seed=*/0xc2b2ae3d27d4eb4f + n, all_false);
-      std::vector<double> s(n, -1.0);
-      std::vector<double> v(n, -2.0);
+      std::vector<double> got(n, -1.0);
+      std::vector<double> want(n, -2.0);
 
-      StageVotes(Kind::kScalarReference, in.w.data(), in.idx.data(),
-                 in.table.data(), 0, n, s.data());
-      StageVotes(Kind::kVectorized, in.w.data(), in.idx.data(),
-                 in.table.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageVotes");
+      StageVotes(in.w.data(), in.idx.data(), in.table.data(), 0, n,
+                 got.data());
+      for (size_t i = 0; i < n; ++i) {
+        want[i] = ContractVote(in.w.data(), in.idx.data(), in.table.data(), i);
+      }
+      ExpectVectorBitsEq(got, want, "StageVotes");
 
-      StageVotesMasked(Kind::kScalarReference, in.mask.data(), in.w.data(),
-                       in.idx.data(), in.table.data(), 0, n, s.data());
-      StageVotesMasked(Kind::kVectorized, in.mask.data(), in.w.data(),
-                       in.idx.data(), in.table.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageVotesMasked");
+      StageVotesMasked(in.mask.data(), in.w.data(), in.idx.data(),
+                       in.table.data(), 0, n, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        want[i] = ContractVoteMasked(in.mask.data(), in.w.data(),
+                                     in.idx.data(), in.table.data(), i);
+      }
+      ExpectVectorBitsEq(got, want, "StageVotesMasked");
 
-      StageVotesSub(Kind::kScalarReference, in.w.data(), in.idx.data(),
-                    in.table.data(), in.sub.data(), 0, n, s.data());
-      StageVotesSub(Kind::kVectorized, in.w.data(), in.idx.data(),
-                    in.table.data(), in.sub.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageVotesSub");
+      StageVotesSub(in.w.data(), in.idx.data(), in.table.data(),
+                    in.sub.data(), 0, n, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        want[i] = ContractVoteSub(in.w.data(), in.idx.data(), in.table.data(),
+                                  in.sub.data(), i);
+      }
+      ExpectVectorBitsEq(got, want, "StageVotesSub");
 
-      StageVotesMaskedSub(Kind::kScalarReference, in.mask.data(), in.w.data(),
-                          in.idx.data(), in.table.data(), in.sub.data(), 0, n,
-                          s.data());
-      StageVotesMaskedSub(Kind::kVectorized, in.mask.data(), in.w.data(),
-                          in.idx.data(), in.table.data(), in.sub.data(), 0, n,
-                          v.data());
-      ExpectVectorBitsEq(s, v, "StageVotesMaskedSub");
+      StageVotesMaskedSub(in.mask.data(), in.w.data(), in.idx.data(),
+                          in.table.data(), in.sub.data(), 0, n, got.data());
+      for (size_t i = 0; i < n; ++i) {
+        want[i] = ContractVoteMaskedSub(in.mask.data(), in.w.data(),
+                                        in.idx.data(), in.table.data(),
+                                        in.sub.data(), i);
+      }
+      ExpectVectorBitsEq(got, want, "StageVotesMaskedSub");
 
-      StageEdgeTerms(Kind::kScalarReference, in.conf.data(), in.group.data(),
-                     in.net.data(), 0, n, s.data());
-      StageEdgeTerms(Kind::kVectorized, in.conf.data(), in.group.data(),
-                     in.net.data(), 0, n, v.data());
-      ExpectVectorBitsEq(s, v, "StageEdgeTerms");
+      StageEdgeTerms(in.conf.data(), in.group.data(), in.net.data(), 0, n,
+                     got.data());
+      for (size_t i = 0; i < n; ++i) {
+        want[i] = ContractEdgeTerm(in.conf.data(), in.group.data(),
+                                   in.net.data(), i);
+      }
+      ExpectVectorBitsEq(got, want, "StageEdgeTerms");
     }
   }
 }
@@ -197,14 +216,15 @@ TEST(KernelParityTest, StagingHonorsNonZeroBegin) {
   const size_t n = 97;
   const KernelInputs in = MakeInputs(n, /*seed=*/71, /*all_false=*/false);
   std::vector<double> whole(n);
-  StageVotesMasked(Kind::kVectorized, in.mask.data(), in.w.data(),
-                   in.idx.data(), in.table.data(), 0, n, whole.data());
+  for (size_t i = 0; i < n; ++i) {
+    whole[i] = ContractVoteMasked(in.mask.data(), in.w.data(), in.idx.data(),
+                                  in.table.data(), i);
+  }
   for (size_t begin : {size_t{0}, size_t{1}, size_t{3}, size_t{64}, n}) {
     for (size_t end : {begin, std::min(begin + 5, n), n}) {
       std::vector<double> part(end - begin, -7.0);
-      StageVotesMasked(Kind::kVectorized, in.mask.data(), in.w.data(),
-                       in.idx.data(), in.table.data(), begin, end,
-                       part.data());
+      StageVotesMasked(in.mask.data(), in.w.data(), in.idx.data(),
+                       in.table.data(), begin, end, part.data());
       for (size_t i = 0; i < part.size(); ++i) {
         ASSERT_EQ(Bits(part[i]), Bits(whole[begin + i]))
             << "begin=" << begin << " end=" << end << " i=" << i;
