@@ -121,9 +121,9 @@ int main(int argc, char** argv) {
         full.observations.begin() + begin,
         full.observations.begin() + begin + batch_size);
 
-    Stopwatch watch;
+    const double start = obs::MonotonicSeconds();
     const Status appended = pipeline->AppendObservations(delta);
-    const double append_seconds = watch.ElapsedSeconds();
+    const double append_seconds = obs::MonotonicSeconds() - start;
     if (!appended.ok()) {
       std::fprintf(stderr, "append failed: %s\n",
                    appended.ToString().c_str());

@@ -99,12 +99,12 @@ int main(int argc, char** argv) {
                               StageSeconds(*cold_report, "Compile");
 
   // Explicit re-save, timed in isolation (encode + write + rename).
-  Stopwatch save_watch;
+  const double save_start = obs::MonotonicSeconds();
   if (const Status s = cold->SaveCompiledArtifacts(); !s.ok()) {
     std::fprintf(stderr, "save failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  const double save_seconds = save_watch.ElapsedSeconds();
+  const double save_seconds = obs::MonotonicSeconds() - save_start;
 
   // ---- Warm session: a fresh pipeline over the same content ----
   auto warm = api::PipelineBuilder()
@@ -121,12 +121,12 @@ int main(int argc, char** argv) {
                  s.ToString().c_str());
     return 1;
   }
-  Stopwatch load_watch;
+  const double load_start = obs::MonotonicSeconds();
   if (const Status s = warm->LoadCompiledArtifacts(); !s.ok()) {
     std::fprintf(stderr, "load failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  const double load_seconds = load_watch.ElapsedSeconds();
+  const double load_seconds = obs::MonotonicSeconds() - load_start;
   const auto warm_report = warm->Run();
   if (!warm_report.ok()) {
     std::fprintf(stderr, "warm run failed: %s\n",

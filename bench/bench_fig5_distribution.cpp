@@ -11,6 +11,7 @@
 #include "common/histogram.h"
 #include "exp/kv_sim.h"
 #include "exp/table_printer.h"
+#include "kbt/obs.h"
 
 int main() {
   using namespace kbt;
@@ -32,11 +33,11 @@ int main() {
     per_pattern[obs.pattern].emplace(obs.item, obs.value);
   }
 
-  Histogram url_hist = Histogram::TripleCountBuckets();
+  obs::Histogram url_hist(TripleCountBucketEdges());
   for (const auto& [url, triples] : per_url) {
     url_hist.Add(static_cast<double>(triples.size()));
   }
-  Histogram pattern_hist = Histogram::TripleCountBuckets();
+  obs::Histogram pattern_hist(TripleCountBucketEdges());
   for (const auto& [pattern, triples] : per_pattern) {
     pattern_hist.Add(static_cast<double>(triples.size()));
   }

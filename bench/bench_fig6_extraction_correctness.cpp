@@ -14,6 +14,7 @@
 #include "exp/table_printer.h"
 #include "extract/observation_matrix.h"
 #include "granularity/assignments.h"
+#include "kbt/obs.h"
 #include "core/initialization.h"
 #include "core/multilayer_model.h"
 
@@ -51,8 +52,8 @@ int main() {
     return 1;
   }
 
-  Histogram type_error = Histogram::UniformProbabilityBuckets(20);
-  Histogram freebase_true = Histogram::UniformProbabilityBuckets(20);
+  obs::Histogram type_error(UniformProbabilityBucketEdges(20));
+  obs::Histogram freebase_true(UniformProbabilityBucketEdges(20));
   for (size_t s = 0; s < matrix->num_slots(); ++s) {
     const kb::DataItemId item = matrix->item_id(matrix->slot_item(s));
     const kb::ValueId value = matrix->slot_value(s);

@@ -33,7 +33,7 @@ int main() {
   if (!report.ok()) return 1;
   const auto& scores = report->website_kbt;
 
-  Histogram hist = Histogram::UniformProbabilityBuckets(20);
+  obs::Histogram hist(UniformProbabilityBucketEdges(20));
   size_t scored = 0;
   size_t above_08 = 0;
   for (const auto& s : scores) {

@@ -103,8 +103,8 @@ int main(int argc, char** argv) {
   }
 
   // ---- Serial single-session serving: direct Pipeline calls ----
-  // Sessions are constructed outside the stopwatch, mirroring the
-  // concurrent pass (whose CreateSession calls precede its watch): both
+  // Sessions are constructed outside the timed span, mirroring the
+  // concurrent pass (whose CreateSession calls precede its clock read): both
   // modes time request traffic only.
   std::vector<api::Pipeline> serial_pipelines;
   for (const Traffic& t : traffic) {
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     if (!pipeline.ok()) Die("serial build", pipeline.status());
     serial_pipelines.push_back(std::move(*pipeline));
   }
-  Stopwatch serial_watch;
+  const double serial_start = obs::MonotonicSeconds();
   std::vector<size_t> serial_final_sizes;
   for (size_t s = 0; s < num_sessions; ++s) {
     const Traffic& t = traffic[s];
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
     if (!report.ok()) Die("serial re-run", report.status());
     serial_final_sizes.push_back(report->counts.num_observations);
   }
-  const double serial_seconds = serial_watch.ElapsedSeconds();
+  const double serial_seconds = obs::MonotonicSeconds() - serial_start;
 
   // ---- Concurrent serving: one TrustService, shared executor ----
   dataflow::Executor executor;
@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     if (!created.ok()) Die("create session", created);
   }
 
-  Stopwatch concurrent_watch;
+  const double concurrent_start = obs::MonotonicSeconds();
   std::vector<std::future<StatusOr<api::TrustReport>>> runs;
   std::vector<std::future<Status>> appends;
   for (size_t s = 0; s < num_sessions; ++s) {
@@ -172,7 +172,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  const double concurrent_seconds = concurrent_watch.ElapsedSeconds();
+  const double concurrent_seconds = obs::MonotonicSeconds() - concurrent_start;
 
   const size_t total_requests = num_sessions * requests_per_session;
   const double serial_rps = static_cast<double>(total_requests) /

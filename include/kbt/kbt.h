@@ -56,12 +56,13 @@
 #include "kbt/service.h"
 #include "kbt/shard.h"
 
-// Analysis toolkit shipped with the library: result tables, histograms,
-// timing, the hyperlink-graph PageRank baseline and shared math helpers.
+// Analysis toolkit shipped with the library: result tables, the paper's
+// figure bucket edges (for obs::Histogram), per-stage EM timers
+// (StageTimers, clocked by obs::MonotonicNanos), the hyperlink-graph
+// PageRank baseline and shared math helpers.
 #include "common/histogram.h"
 #include "common/math.h"
 #include "common/random.h"
-#include "common/stopwatch.h"
 #include "corpus/link_graph.h"
 #include "dataflow/parallel.h"
 #include "dataflow/stage_timer.h"

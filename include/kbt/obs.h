@@ -149,8 +149,7 @@ std::vector<double> LogBucketEdges(double lo, double hi, int per_decade);
 /// A plain-data histogram capture: what Snapshot() hands out and what
 /// merging/quantile math runs on. Bucket i covers [edges[i], edges[i+1]);
 /// the final bucket is the >= edges.back() catch-all; values below
-/// edges.front() clamp into bucket 0 (same convention as the paper-figure
-/// histograms this type absorbed from common/histogram.h).
+/// edges.front() clamp into bucket 0.
 struct HistogramSnapshot {
   std::vector<double> edges;
   /// One weight total per bucket (edges.size() buckets).
@@ -190,12 +189,12 @@ std::string BucketLabelFor(const std::vector<double>& edges, size_t i);
 
 /// Fixed-bucket concurrent histogram: immutable edges chosen at
 /// construction, per-bucket atomic weight accumulation, O(log buckets)
-/// Add. The general form of (and the implementation behind) the paper's
-/// figure histograms in common/histogram.h; registered instances default
-/// to LatencyBucketEdges().
+/// Add. Registered instances default to LatencyBucketEdges(); the paper's
+/// figure histograms construct one from the edges in common/histogram.h.
 class Histogram {
  public:
-  /// `edges` must be strictly increasing with at least one entry.
+  /// `edges` must be strictly increasing with at least one entry (checked
+  /// by assert).
   explicit Histogram(std::vector<double> edges);
   /// Copy is a (racy-snapshot) capture of the source's current values —
   /// for analysis-style use; registered metrics are never copied.
@@ -215,8 +214,7 @@ class Histogram {
   /// Resets all accumulation, keeping the edges.
   void Clear();
 
-  // -- Direct accessors (relaxed reads), mirroring the absorbed
-  // common/histogram.h surface --
+  // -- Direct accessors (relaxed reads) --
   size_t num_buckets() const { return counts_.size(); }
   size_t BucketIndex(double value) const {
     return BucketIndexFor(edges_, value);

@@ -5,7 +5,8 @@ The KBT pipeline's contract is *bit-for-bit reproducible* trust scores
 (Dong et al., VLDB 2015, Sec. 4: the EM estimates must not drift under
 parallel reduction) served from a lock-free read path. These invariants
 cannot be expressed in a compiler flag, so this linter enforces them
-textually over src/ and include/:
+textually over src/ and include/ (bench/ and examples/ take only the
+metric-naming and obs-timing rules):
 
   determinism        No wall-clock or ambient-randomness calls in the
                      inference layers (src/core, src/extract, src/fusion,
@@ -43,12 +44,16 @@ textually over src/ and include/:
                      (_depth, _ratio, _version, _retained). A scrape with
                      mixed conventions is a dashboard nobody can query.
 
-  obs-timing         src/api, src/stream and src/query time their seams
-                     through kbt::obs (ScopedTimer / MonotonicNanos), not
-                     ad-hoc Stopwatch instances — one clock source, and
-                     every latency lands in a scrapeable histogram. The
-                     baseline is empty and stays empty (the ratchet only
-                     tightens).
+  obs-timing         One interval clock: src/ (outside src/obs), include/,
+                     bench/ and examples/ time through kbt::obs
+                     (MonotonicNanos / MonotonicSeconds, ScopedTimer,
+                     StageTimers::Scope), never a Stopwatch class or a
+                     direct std::chrono::steady_clock /
+                     high_resolution_clock read. src/obs owns the one
+                     steady_clock read behind MonotonicNanos.
+                     std::chrono::system_clock stays allowed: it is a
+                     wall-clock timestamp (the stream's tick time), not an
+                     interval timer.
 
   isa-intrinsics     No hand-written SIMD in src/ or include/: no
                      intrinsic headers (<immintrin.h> and the other x86
@@ -103,8 +108,8 @@ PUBLIC_INCLUDE_BASELINE = {
     },
     "include/kbt/kbt.h": {
         "common/histogram.h", "common/math.h", "common/random.h",
-        "common/stopwatch.h", "corpus/link_graph.h", "dataflow/parallel.h",
-        "dataflow/stage_timer.h", "exp/table_printer.h", "pagerank/pagerank.h",
+        "corpus/link_graph.h", "dataflow/parallel.h", "dataflow/stage_timer.h",
+        "exp/table_printer.h", "pagerank/pagerank.h",
     },
     "include/kbt/options.h": {
         "core/initialization.h", "core/multilayer_config.h",
@@ -161,11 +166,14 @@ GAUGE_SUFFIXES = ("_depth", "_ratio", "_version", "_retained")
 
 # --- rule: obs-timing -------------------------------------------------------
 
-OBS_TIMING_DIRS = ("src/api", "src/stream", "src/query")
-OBS_TIMING_RE = re.compile(r"\bStopwatch\b|common/stopwatch\.h")
-# Grandfathered Stopwatch uses in the instrumented layers: empty, and the
-# ratchet only tightens — new entries are not accepted.
-OBS_TIMING_BASELINE: set[str] = set()
+OBS_TIMING_DIRS = ("src/", "include/", "bench/", "examples/")
+# The clock's own home: MonotonicNanos reads steady_clock here and only here.
+OBS_TIMING_EXEMPT = ("src/obs/",)
+OBS_TIMING_PATTERNS = [
+    (re.compile(r"\bStopwatch\b|common/stopwatch\.h"), "Stopwatch"),
+    (re.compile(r"std::chrono::(?:steady|high_resolution)_clock"),
+     "direct std::chrono interval clock"),
+]
 
 # --- rule: unordered-iter ---------------------------------------------------
 
@@ -211,9 +219,13 @@ class Linter:
         code_lines = strip_comments(raw).split("\n")
 
         self.check_metric_naming(path, code_lines, raw_lines)
-        if rel.startswith("bench/"):
-            # Benches are scanned for metric naming only; the concurrency
-            # and layering rules target the library proper.
+        if (rel.startswith(OBS_TIMING_DIRS)
+                and not rel.startswith(OBS_TIMING_EXEMPT)):
+            self.check_obs_timing(path, code_lines, raw_lines)
+        if rel.startswith(("bench/", "examples/")):
+            # Benches and examples are scanned for metric naming and timing
+            # only; the concurrency and layering rules target the library
+            # proper.
             return
         if rel not in SYNC_ALLOWLIST:
             self.check_raw_sync(path, code_lines, raw_lines)
@@ -222,9 +234,6 @@ class Linter:
         if any(rel.startswith(d + "/") for d in DETERMINISM_DIRS):
             self.check_determinism(path, code_lines, raw_lines)
             self.check_unordered_iteration(path, code_lines, raw_lines)
-        if (any(rel.startswith(d + "/") for d in OBS_TIMING_DIRS)
-                and rel not in OBS_TIMING_BASELINE):
-            self.check_obs_timing(path, code_lines, raw_lines)
         if rel.startswith("include/kbt/") and rel != "include/kbt/sync.h":
             self.check_public_includes(path, rel, code_lines, raw_lines)
 
@@ -282,14 +291,15 @@ class Linter:
 
     def check_obs_timing(self, path, code_lines, raw_lines) -> None:
         for i, line in enumerate(code_lines, 1):
-            if OBS_TIMING_RE.search(line):
-                self.report(
-                    "obs-timing", path, i,
-                    "ad-hoc Stopwatch in an instrumented layer: time "
-                    "through kbt::obs (ScopedTimer into a registered "
-                    "histogram, or MonotonicNanos) so the latency is "
-                    "scrapeable",
-                    raw_lines)
+            for pattern, what in OBS_TIMING_PATTERNS:
+                if pattern.search(line):
+                    self.report(
+                        "obs-timing", path, i,
+                        f"{what}: time through kbt::obs (MonotonicNanos / "
+                        "MonotonicSeconds, ScopedTimer into a registered "
+                        "histogram, or StageTimers::Scope) so there is one "
+                        "clock source",
+                        raw_lines)
 
     def check_determinism(self, path, code_lines, raw_lines) -> None:
         for i, line in enumerate(code_lines, 1):
@@ -362,10 +372,12 @@ class Linter:
         for top in ("src", "include"):
             paths.extend(sorted((self.root / top).rglob("*.h")))
             paths.extend(sorted((self.root / top).rglob("*.cpp")))
-        # Benches participate in the metric-naming rule (their private
-        # registries feed the same dashboards); see lint_file for scoping.
-        paths.extend(sorted((self.root / "bench").glob("*.h")))
-        paths.extend(sorted((self.root / "bench").glob("*.cpp")))
+        # Benches and examples participate in the metric-naming rule (their
+        # private registries feed the same dashboards) and in obs-timing;
+        # see lint_file for scoping.
+        for top in ("bench", "examples"):
+            paths.extend(sorted((self.root / top).glob("*.h")))
+            paths.extend(sorted((self.root / top).glob("*.cpp")))
         for path in paths:
             self.lint_file(path)
         for finding in self.findings:

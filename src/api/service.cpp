@@ -149,8 +149,9 @@ struct TrustService::Session {
   std::shared_ptr<PendingAppend> open_append KBT_GUARDED_BY(mutex);
 
   /// Depth of this session's strand (queued + executing requests), as a
-  /// dashboard gauge. Set by CreateSession; +1 per enqueued task, -1 when
-  /// the task finishes (coalesced appends ride an already-counted task).
+  /// dashboard gauge. Set by State::AddSession; +1 per enqueued task, -1
+  /// when the task finishes (coalesced appends ride an already-counted
+  /// task).
   obs::Gauge* queue_depth = nullptr;
 
   /// The attached streaming engine (AttachStream), null when detached.
@@ -210,6 +211,35 @@ struct ServiceMetrics {
   PerKind run, run_from, append, tick;
 };
 
+namespace {
+
+/// The request lifecycle every strand task runs under, shared by the four
+/// Submit kinds and the periodic tick. Call it at submit time: it stamps
+/// the submit (queue wait is recorded only when metrics were on here) and
+/// counts the task into the session's depth gauge. The returned task, run
+/// on the strand, records queue wait into `kind`, holds the -1 depth guard,
+/// times execute and opens `span` around `body`. It takes no lock, so the
+/// caller's session -> queue -> pool order is unchanged.
+template <typename Body>
+auto LifecycleTask(const ServiceMetrics::PerKind& kind,
+                   obs::Gauge* queue_depth, const char* span, Body body) {
+  const uint64_t submit_ns =
+      obs::MetricsEnabled() ? obs::MonotonicNanos() : 0;
+  KBT_OBS_GAUGE_ADD(queue_depth, 1.0);
+  return [kind, queue_depth, span, submit_ns, body = std::move(body)] {
+    if (submit_ns != 0) {
+      kind.queue_wait->Record(
+          static_cast<double>(obs::MonotonicNanos() - submit_ns) * 1e-9);
+    }
+    QueueDepthGuard depth_guard(queue_depth);
+    obs::ScopedTimer execute_timer(kind.execute);
+    KBT_TRACE_SPAN(span);
+    return body();
+  };
+}
+
+}  // namespace
+
 struct TrustService::State {
   ServiceOptions options;
   dataflow::Executor* executor = nullptr;
@@ -244,7 +274,66 @@ struct TrustService::State {
     const auto it = sessions.find(name);
     return it == sessions.end() ? nullptr : it->second;
   }
+
+  /// Adopts `backend` (a Pipeline or a ShardedPipeline) as session `name`:
+  /// reserve the name, enable the disk cache, attach the service executor,
+  /// then publish — rolling the reservation back if the cache fails. The
+  /// caller keeps `backend` untouched unless this returns OK.
+  template <typename Backend>
+  Status AddSession(const std::string& name, Backend& backend);
 };
+
+template <typename Backend>
+Status TrustService::State::AddSession(const std::string& name,
+                                       Backend& backend) {
+  {
+    // Reserve the name first (null placeholder), so the collision check
+    // happens before the pipeline is touched in any way — a naming
+    // collision leaves the caller's (possibly expensively warmed)
+    // pipeline fully intact — and so the filesystem work below (cache
+    // directory creation + stale-temp sweep) runs WITHOUT the service
+    // lock that gates every session's submit path. A placeholder behaves
+    // as "not found" for submits/close until the session is published.
+    MutexLock lock(mutex);
+    const auto it = sessions.find(name);
+    if (it != sessions.end()) {
+      // Distinguish a published session from another creator's in-flight
+      // reservation (which may yet be rolled back): a caller seeing the
+      // latter can retry, matching HasSession's "not found until
+      // published" view.
+      return Status::InvalidArgument(
+          it->second != nullptr
+              ? "session '" + name + "' already exists"
+              : "session '" + name + "' is being created concurrently");
+    }
+    sessions.emplace(name, nullptr);
+  }
+  if (!options.cache_directory.empty()) {
+    // A sharded backend namespaces its shards under cache_directory/
+    // shard-<i>; entries are content-addressed, so sessions sharing the
+    // root is safe.
+    const Status enabled =
+        backend.EnableDiskCache(options.cache_directory,
+                                options.cache_max_bytes);
+    if (!enabled.ok()) {
+      MutexLock lock(mutex);
+      sessions.erase(name);
+      return enabled;
+    }
+  }
+  // Request tasks and the stages inside them share one pool: the adopted
+  // pipeline's parallel loops must run on the service executor (whose
+  // joins are reentrant), whatever the builder had attached.
+  backend.AttachExecutor(executor);
+  auto session = std::make_shared<Session>(std::move(backend),
+                                           &executor->pool());
+  session->queue_depth = registry->GetGauge(
+      "kbt_service_queue_depth",
+      {{"service", metrics_label}, {"session", name}});
+  MutexLock lock(mutex);
+  sessions[name] = std::move(session);
+  return Status::OK();
+}
 
 void TrustService::State::MaybePublish(Session& session,
                                        const StatusOr<TrustReport>& report) {
@@ -281,50 +370,7 @@ TrustService::~TrustService() { Drain(); }
 
 Status TrustService::CreateSession(const std::string& name,
                                    Pipeline&& pipeline) {
-  {
-    // Reserve the name first (null placeholder), so the collision check
-    // happens before the pipeline is touched in any way — a naming
-    // collision leaves the caller's (possibly expensively warmed)
-    // pipeline fully intact — and so the filesystem work below (cache
-    // directory creation + stale-temp sweep) runs WITHOUT the service
-    // lock that gates every session's submit path. A placeholder behaves
-    // as "not found" for submits/close until the session is published.
-    MutexLock lock(state_->mutex);
-    const auto it = state_->sessions.find(name);
-    if (it != state_->sessions.end()) {
-      // Distinguish a published session from another creator's in-flight
-      // reservation (which may yet be rolled back): a caller seeing the
-      // latter can retry, matching HasSession's "not found until
-      // published" view.
-      return Status::InvalidArgument(
-          it->second != nullptr
-              ? "session '" + name + "' already exists"
-              : "session '" + name + "' is being created concurrently");
-    }
-    state_->sessions.emplace(name, nullptr);
-  }
-  if (!state_->options.cache_directory.empty()) {
-    const Status enabled =
-        pipeline.EnableDiskCache(state_->options.cache_directory,
-                                 state_->options.cache_max_bytes);
-    if (!enabled.ok()) {
-      MutexLock lock(state_->mutex);
-      state_->sessions.erase(name);
-      return enabled;
-    }
-  }
-  // Request tasks and the stages inside them share one pool: the adopted
-  // pipeline's parallel loops must run on the service executor (whose
-  // joins are reentrant), whatever the builder had attached.
-  pipeline.AttachExecutor(state_->executor);
-  auto session = std::make_shared<Session>(std::move(pipeline),
-                                           &state_->executor->pool());
-  session->queue_depth = state_->registry->GetGauge(
-      "kbt_service_queue_depth",
-      {{"service", state_->metrics_label}, {"session", name}});
-  MutexLock lock(state_->mutex);
-  state_->sessions[name] = std::move(session);
-  return Status::OK();
+  return state_->AddSession(name, pipeline);
 }
 
 Status TrustService::CreateSession(const std::string& name,
@@ -336,40 +382,7 @@ Status TrustService::CreateSession(const std::string& name,
 
 Status TrustService::CreateShardedSession(const std::string& name,
                                           ShardedPipeline&& pipeline) {
-  // Same reserve -> configure -> publish dance as CreateSession (see the
-  // comments there); only the backend type differs.
-  {
-    MutexLock lock(state_->mutex);
-    const auto it = state_->sessions.find(name);
-    if (it != state_->sessions.end()) {
-      return Status::InvalidArgument(
-          it->second != nullptr
-              ? "session '" + name + "' already exists"
-              : "session '" + name + "' is being created concurrently");
-    }
-    state_->sessions.emplace(name, nullptr);
-  }
-  if (!state_->options.cache_directory.empty()) {
-    // Shard pipelines namespace themselves under cache_directory/shard-<i>;
-    // entries are content-addressed, so sessions sharing the root is safe.
-    const Status enabled =
-        pipeline.EnableDiskCache(state_->options.cache_directory,
-                                 state_->options.cache_max_bytes);
-    if (!enabled.ok()) {
-      MutexLock lock(state_->mutex);
-      state_->sessions.erase(name);
-      return enabled;
-    }
-  }
-  pipeline.AttachExecutor(state_->executor);
-  auto session = std::make_shared<Session>(std::move(pipeline),
-                                           &state_->executor->pool());
-  session->queue_depth = state_->registry->GetGauge(
-      "kbt_service_queue_depth",
-      {{"service", state_->metrics_label}, {"session", name}});
-  MutexLock lock(state_->mutex);
-  state_->sessions[name] = std::move(session);
-  return Status::OK();
+  return state_->AddSession(name, pipeline);
 }
 
 Status TrustService::CloseSession(const std::string& name) {
@@ -429,26 +442,9 @@ std::future<StatusOr<TrustReport>> TrustService::SubmitRun(
         Status::NotFound("no session '" + session_name + "'"));
   }
   state_->metrics.runs_submitted->Increment();
-  // Request-lifecycle instrumentation: stamp the submit so the task can
-  // split queue wait (submit -> start) from execute (start -> finish).
-  const uint64_t submit_ns =
-      obs::MetricsEnabled() ? obs::MonotonicNanos() : 0;
-  KBT_OBS_GAUGE_ADD(session->queue_depth, 1.0);
-  // The window close and the enqueue happen atomically under the session
-  // mutex (lock order: session -> queue -> pool, never inverted): a run
-  // closes the coalescing window, and appends submitted after this call
-  // returns land behind the run on the strand.
-  MutexLock lock(session->mutex);
-  session->open_append.reset();
-  return session->queue.SubmitWithResult(
-      [state = state_, session, submit_ns]() -> StatusOr<TrustReport> {
-        if (submit_ns != 0) {
-          state->metrics.run.queue_wait->Record(
-              static_cast<double>(obs::MonotonicNanos() - submit_ns) * 1e-9);
-        }
-        QueueDepthGuard depth_guard(session->queue_depth);
-        obs::ScopedTimer execute_timer(state->metrics.run.execute);
-        KBT_TRACE_SPAN("service.run");
+  auto task = LifecycleTask(
+      state_->metrics.run, session->queue_depth, "service.run",
+      [state = state_, session]() -> StatusOr<TrustReport> {
         if (session->sharded) {
           // The scatter's TaskGroup join donates this strand's thread, so
           // running K shards from here cannot deadlock the shared pool.
@@ -463,6 +459,13 @@ std::future<StatusOr<TrustReport>> TrustService::SubmitRun(
         state->MaybePublish(*session, report);
         return report;
       });
+  // The window close and the enqueue happen atomically under the session
+  // mutex (lock order: session -> queue -> pool, never inverted): a run
+  // closes the coalescing window, and appends submitted after this call
+  // returns land behind the run on the strand.
+  MutexLock lock(session->mutex);
+  session->open_append.reset();
+  return session->queue.SubmitWithResult(std::move(task));
 }
 
 std::future<StatusOr<TrustReport>> TrustService::SubmitRunFrom(
@@ -473,21 +476,10 @@ std::future<StatusOr<TrustReport>> TrustService::SubmitRunFrom(
         Status::NotFound("no session '" + session_name + "'"));
   }
   state_->metrics.runs_submitted->Increment();
-  const uint64_t submit_ns =
-      obs::MetricsEnabled() ? obs::MonotonicNanos() : 0;
-  KBT_OBS_GAUGE_ADD(session->queue_depth, 1.0);
-  MutexLock lock(session->mutex);
-  session->open_append.reset();
-  return session->queue.SubmitWithResult(
-      [state = state_, session, submit_ns,
+  auto task = LifecycleTask(
+      state_->metrics.run_from, session->queue_depth, "service.run_from",
+      [state = state_, session,
        previous = std::move(previous)]() -> StatusOr<TrustReport> {
-        if (submit_ns != 0) {
-          state->metrics.run_from.queue_wait->Record(
-              static_cast<double>(obs::MonotonicNanos() - submit_ns) * 1e-9);
-        }
-        QueueDepthGuard depth_guard(session->queue_depth);
-        obs::ScopedTimer execute_timer(state->metrics.run_from.execute);
-        KBT_TRACE_SPAN("service.run_from");
         if (session->sharded) {
           // Warm starts need per-shard inference state, which the flattened
           // `previous` cannot carry: use the session-retained last sharded
@@ -508,6 +500,9 @@ std::future<StatusOr<TrustReport>> TrustService::SubmitRunFrom(
         state->MaybePublish(*session, report);
         return report;
       });
+  MutexLock lock(session->mutex);
+  session->open_append.reset();
+  return session->queue.SubmitWithResult(std::move(task));
 }
 
 std::future<Status> TrustService::SubmitAppend(
@@ -519,8 +514,6 @@ std::future<Status> TrustService::SubmitAppend(
         Status::NotFound("no session '" + session_name + "'"));
   }
   state_->metrics.appends_submitted->Increment();
-  const uint64_t submit_ns =
-      obs::MetricsEnabled() ? obs::MonotonicNanos() : 0;
 
   std::shared_ptr<PendingAppend> batch;
   std::future<Status> future;
@@ -546,31 +539,27 @@ std::future<Status> TrustService::SubmitAppend(
       batch->promises.emplace_back();
       future = batch->promises.back().get_future();
       if (state_->options.coalesce_appends) session->open_append = batch;
-      KBT_OBS_GAUGE_ADD(session->queue_depth, 1.0);
-      session->queue.Submit([state = state_, session, batch, submit_ns] {
-        if (submit_ns != 0) {
-          state->metrics.append.queue_wait->Record(
-              static_cast<double>(obs::MonotonicNanos() - submit_ns) * 1e-9);
-        }
-        QueueDepthGuard depth_guard(session->queue_depth);
-        obs::ScopedTimer execute_timer(state->metrics.append.execute);
-        KBT_TRACE_SPAN("service.append");
-        std::vector<extract::RawObservation> merged;
-        std::vector<std::promise<Status>> promises;
-        {
-          // Close the window before touching the pipeline: appends
-          // submitted from here on start a new batch (and a new task).
-          MutexLock lock(session->mutex);
-          merged = std::move(batch->observations);
-          promises = std::move(batch->promises);
-          if (session->open_append == batch) session->open_append.reset();
-        }
-        const Status status = session->Append(merged);
-        state->metrics.append_batches_executed->Increment();
-        for (std::promise<Status>& promise : promises) {
-          promise.set_value(status);
-        }
-      });
+      // Only a new batch is a new task: a coalesced append rides the task
+      // (and the depth count) already queued.
+      session->queue.Submit(LifecycleTask(
+          state_->metrics.append, session->queue_depth, "service.append",
+          [state = state_, session, batch] {
+            std::vector<extract::RawObservation> merged;
+            std::vector<std::promise<Status>> promises;
+            {
+              // Close the window before touching the pipeline: appends
+              // submitted from here on start a new batch (and a new task).
+              MutexLock lock(session->mutex);
+              merged = std::move(batch->observations);
+              promises = std::move(batch->promises);
+              if (session->open_append == batch) session->open_append.reset();
+            }
+            const Status status = session->Append(merged);
+            state->metrics.append_batches_executed->Increment();
+            for (std::promise<Status>& promise : promises) {
+              promise.set_value(status);
+            }
+          }));
     }
   }
   if (batch == nullptr) {
@@ -652,19 +641,11 @@ Status TrustService::AttachStream(const std::string& session_name,
       const double now = engine->options().clock();
       // Periodic ticks report into the same kind=tick lifecycle metrics
       // as SubmitTick — one request class either way.
-      const uint64_t submit_ns =
-          obs::MetricsEnabled() ? obs::MonotonicNanos() : 0;
-      KBT_OBS_GAUGE_ADD(session->queue_depth, 1.0);
-      session->queue.Submit([state, session, engine, now, submit_ns] {
-        if (submit_ns != 0) {
-          state->metrics.tick.queue_wait->Record(
-              static_cast<double>(obs::MonotonicNanos() - submit_ns) * 1e-9);
-        }
-        QueueDepthGuard depth_guard(session->queue_depth);
-        obs::ScopedTimer execute_timer(state->metrics.tick.execute);
-        KBT_TRACE_SPAN("service.tick");
-        (void)engine->Tick(now);
-      });
+      // The task pins state and session (whose pipeline the engine
+      // drives) through the tick, like every request task.
+      session->queue.Submit(LifecycleTask(
+          state->metrics.tick, session->queue_depth, "service.tick",
+          [state, session, engine, now] { (void)engine->Tick(now); }));
     };
     const auto interval_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -718,21 +699,11 @@ std::future<StatusOr<stream::TickResult>> TrustService::SubmitTick(
   // A tick appends + runs: close the coalescing window like SubmitRun, so
   // appends submitted after this call land behind the tick on the strand.
   session->open_append.reset();
-  const uint64_t submit_ns =
-      obs::MetricsEnabled() ? obs::MonotonicNanos() : 0;
-  KBT_OBS_GAUGE_ADD(session->queue_depth, 1.0);
-  return session->queue.SubmitWithResult(
-      [state = state_, session, engine = std::move(engine), now,
-       submit_ns]() -> StatusOr<stream::TickResult> {
-        if (submit_ns != 0) {
-          state->metrics.tick.queue_wait->Record(
-              static_cast<double>(obs::MonotonicNanos() - submit_ns) * 1e-9);
-        }
-        QueueDepthGuard depth_guard(session->queue_depth);
-        obs::ScopedTimer execute_timer(state->metrics.tick.execute);
-        KBT_TRACE_SPAN("service.tick");
+  return session->queue.SubmitWithResult(LifecycleTask(
+      state_->metrics.tick, session->queue_depth, "service.tick",
+      [state = state_, session, engine = std::move(engine), now] {
         return engine->Tick(now);
-      });
+      }));
 }
 
 StatusOr<stream::StreamStats> TrustService::StreamingStats(

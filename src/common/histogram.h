@@ -1,69 +1,26 @@
 #ifndef KBT_COMMON_HISTOGRAM_H_
 #define KBT_COMMON_HISTOGRAM_H_
 
-#include <string>
 #include <vector>
-
-#include "kbt/obs.h"
 
 namespace kbt {
 
-/// Weighted histogram over explicit bucket edges. Bucket i covers
-/// [edges[i], edges[i+1]); a final catch-all bucket covers values >= the last
-/// edge. Used for the paper's distribution figures (Figures 5, 6, 7) and for
-/// the WDev calibration buckets.
-///
-/// The bucketing engine is kbt::obs::Histogram (the observability layer's
-/// concurrent histogram, which generalized and absorbed this type); this
-/// wrapper keeps the paper-specific factories and the original single-owner
-/// analysis API. Richer statistics (quantiles, merge) are available through
-/// impl().Snapshot().
-class Histogram {
- public:
-  /// `edges` must be strictly increasing with at least one entry.
-  explicit Histogram(std::vector<double> edges);
+/// Bucket edges for the paper's distribution figures (Figures 5, 6, 7) and
+/// the WDev calibration buckets. Each returns strictly increasing edges to
+/// construct an obs::Histogram from: bucket i covers [edges[i],
+/// edges[i+1]) and a final catch-all bucket covers values >= the last edge.
 
-  /// Buckets matching the paper's Figure 5 x-axis for counts per
-  /// URL/pattern: 1, 2, ..., 10, 11-100, 100-1K, 1K-10K, 10K-100K,
-  /// 100K-1M, >1M.
-  static Histogram TripleCountBuckets();
+/// The paper's Figure 5 x-axis for counts per URL/pattern: 1, 2, ..., 10,
+/// 11-100, 100-1K, 1K-10K, 10K-100K, 100K-1M, >1M.
+std::vector<double> TripleCountBucketEdges();
 
-  /// `n` equal-width buckets over [0, 1] (probabilities). The final bucket
-  /// includes 1.0.
-  static Histogram UniformProbabilityBuckets(int n);
+/// `n` equal-width buckets over [0, 1] (probabilities). The final bucket
+/// includes 1.0.
+std::vector<double> UniformProbabilityBucketEdges(int n);
 
-  /// The paper's non-uniform WDev buckets: [0,0.01)...[0.04,0.05),
-  /// [0.05,0.1)...[0.9,0.95), [0.95,0.96)...[0.99,1), [1,1].
-  static Histogram WDevBuckets();
-
-  void Add(double value, double weight = 1.0) { impl_.Add(value, weight); }
-
-  /// Index of the bucket `value` falls into.
-  size_t BucketIndex(double value) const { return impl_.BucketIndex(value); }
-
-  size_t num_buckets() const { return impl_.num_buckets(); }
-  double bucket_count(size_t i) const { return impl_.bucket_count(i); }
-  double bucket_lower(size_t i) const { return impl_.bucket_lower(i); }
-  /// Upper edge; the last bucket reports +inf.
-  double bucket_upper(size_t i) const { return impl_.bucket_upper(i); }
-  double total_weight() const { return impl_.total_weight(); }
-
-  /// Fraction of total weight in bucket i (0 when empty).
-  double Fraction(size_t i) const { return impl_.Fraction(i); }
-
-  /// Human-readable label for bucket i, e.g. "[0.05,0.1)".
-  std::string BucketLabel(size_t i) const { return impl_.BucketLabel(i); }
-
-  /// Resets all counts, keeping the edges.
-  void Clear() { impl_.Clear(); }
-
-  /// The underlying observability histogram (quantiles, snapshots, merge).
-  const obs::Histogram& impl() const { return impl_; }
-  obs::Histogram& impl() { return impl_; }
-
- private:
-  obs::Histogram impl_;
-};
+/// The paper's non-uniform WDev buckets: [0,0.01)...[0.04,0.05),
+/// [0.05,0.1)...[0.9,0.95), [0.95,0.96)...[0.99,1), [1,1].
+std::vector<double> WDevBucketEdges();
 
 }  // namespace kbt
 

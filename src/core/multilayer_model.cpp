@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -416,11 +415,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
 
     // ============ Stage I: extraction correctness p(C|X), Eq. 15 ============
     {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "I.ExtCorr");
-      }
+      dataflow::StageTimers::Scope t(timers, "I.ExtCorr");
       // Log-odds per slot, before the shared calibration intercept. The
       // staged path sweeps the contiguous per-slot edge ranges in blocks
       // (conf[e] * net_vote[group]) and memoizes the absence total per
@@ -527,11 +522,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
 
     // ============ Stage II: triple truth p(V_d|X), Eqs. 21/25 ============
     {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "II.TriplePr");
-      }
+      dataflow::StageTimers::Scope t(timers, "II.TriplePr");
       if (use_staged) {
         // Per-iteration memo streams: one SourceVote (or log-odds) per
         // source, and the per-slot correctness weight (Eq. 25 soft weight,
@@ -635,11 +626,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
 
     // ============ Stage III: source accuracy A_w, Eq. 27/28 ============
     if (config.update_source_accuracy) {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "III.SrcAccu");
-      }
+      dataflow::StageTimers::Scope t(timers, "III.SrcAccu");
       ForGroups(executor, num_sources, [&](size_t w) {
         if (!r.source_supported[w]) return;  // Stays at initial value.
         const auto [b, e] = matrix.SourceSlots(static_cast<uint32_t>(w));
@@ -680,11 +667,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
 
     // ============ Stage IV: extractor quality, Eqs. 32-33 + Eq. 7 ============
     if (config.update_extractor_quality) {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                           "IV.ExtQuality");
-      }
+      dataflow::StageTimers::Scope t(timers, "IV.ExtQuality");
       ForGroups(executor, num_groups, [&](size_t g) {
         if (!r.extractor_supported[g]) return;
         const auto [b, e] = matrix.ExtractorEdges(static_cast<uint32_t>(g));

@@ -35,23 +35,6 @@ int StageTimers::Count(const std::string& stage) const {
   return it == entries_.end() ? 0 : it->second.count;
 }
 
-double StageTimers::MeanSeconds(const std::string& stage) const {
-  MutexLock lock(mutex_);
-  const auto it = entries_.find(stage);
-  if (it == entries_.end() || it->second.count == 0) return 0.0;
-  return it->second.total_seconds / it->second.count;
-}
-
-std::vector<std::pair<std::string, double>> StageTimers::Entries() const {
-  MutexLock lock(mutex_);
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    out.emplace_back(name, entry.total_seconds);
-  }
-  return out;
-}
-
 void StageTimers::Clear() {
   MutexLock lock(mutex_);
   entries_.clear();

@@ -1,19 +1,19 @@
 #ifndef KBT_DATAFLOW_STAGE_TIMER_H_
 #define KBT_DATAFLOW_STAGE_TIMER_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/mutex.h"
-#include "common/stopwatch.h"
 #include "kbt/obs.h"
 
 namespace kbt::dataflow {
 
 /// Accumulates wall-clock time per named pipeline stage. The Table 7
 /// reproduction reads stage totals for "Prep.Source", "Prep.Extractor",
-/// "I.ExtCorr", "II.TriplePr", "III.SrcAccu", "IV.ExtQuality".
+/// "I.ExtCorr", "II.TriplePr", "III.SrcAccu", "IV.ExtQuality". Every Add
+/// also records into the obs histogram kbt_em_stage_seconds{stage=...}.
 class StageTimers {
  public:
   StageTimers() = default;
@@ -29,28 +29,32 @@ class StageTimers {
   /// Invocations recorded for `stage`.
   int Count(const std::string& stage) const;
 
-  /// Mean seconds per invocation (0 when never recorded).
-  double MeanSeconds(const std::string& stage) const;
-
-  /// All (stage, total seconds) pairs in lexicographic stage order.
-  std::vector<std::pair<std::string, double>> Entries() const;
-
   void Clear();
 
-  /// RAII scope: records elapsed time into `timers` under `stage` when
-  /// destroyed.
+  /// RAII scope: records the obs::MonotonicNanos() time elapsed until
+  /// destruction into `timers` under `stage`. A null `timers` makes the
+  /// scope a no-op that never reads the clock, so callers time a stage
+  /// with one line whether or not a run collects timings. `stage` must
+  /// outlive the scope (a string literal).
   class Scope {
    public:
-    Scope(StageTimers& timers, std::string stage)
-        : timers_(timers), stage_(std::move(stage)) {}
-    ~Scope() { timers_.Add(stage_, watch_.ElapsedSeconds()); }
+    Scope(StageTimers* timers, const char* stage)
+        : timers_(timers),
+          stage_(stage),
+          start_ns_(timers != nullptr ? obs::MonotonicNanos() : 0) {}
+    ~Scope() {
+      if (timers_ != nullptr) {
+        timers_->Add(stage_, static_cast<double>(obs::MonotonicNanos() -
+                                                 start_ns_) * 1e-9);
+      }
+    }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
-    StageTimers& timers_;
-    std::string stage_;
-    Stopwatch watch_;
+    StageTimers* timers_;
+    const char* stage_;
+    uint64_t start_ns_;
   };
 
  private:

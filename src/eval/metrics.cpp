@@ -6,6 +6,7 @@
 
 #include "common/histogram.h"
 #include "common/math.h"
+#include "kbt/obs.h"
 
 namespace kbt::eval {
 
@@ -24,9 +25,10 @@ double WeightedDeviation(const std::vector<double>& predicted,
                          const std::vector<uint8_t>& truth) {
   assert(predicted.size() == truth.size());
   if (predicted.empty()) return 0.0;
-  Histogram sums = Histogram::WDevBuckets();
-  Histogram hits = Histogram::WDevBuckets();
-  Histogram counts = Histogram::WDevBuckets();
+  const std::vector<double> edges = WDevBucketEdges();
+  obs::Histogram sums(edges);
+  obs::Histogram hits(edges);
+  obs::Histogram counts(edges);
   for (size_t i = 0; i < predicted.size(); ++i) {
     sums.Add(predicted[i], predicted[i]);
     hits.Add(predicted[i], truth[i] ? 1.0 : 0.0);
@@ -91,9 +93,10 @@ double AucPr(const std::vector<double>& predicted,
 std::vector<CalibrationPoint> CalibrationCurve(
     const std::vector<double>& predicted, const std::vector<uint8_t>& truth) {
   assert(predicted.size() == truth.size());
-  Histogram sums = Histogram::WDevBuckets();
-  Histogram hits = Histogram::WDevBuckets();
-  Histogram counts = Histogram::WDevBuckets();
+  const std::vector<double> edges = WDevBucketEdges();
+  obs::Histogram sums(edges);
+  obs::Histogram hits(edges);
+  obs::Histogram counts(edges);
   for (size_t i = 0; i < predicted.size(); ++i) {
     sums.Add(predicted[i], predicted[i]);
     hits.Add(predicted[i], truth[i] ? 1.0 : 0.0);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 
 #include "common/math.h"
@@ -214,11 +213,7 @@ StatusOr<SingleLayerResult> SingleLayerModel::Run(
 
     // ---- E step: p(V_d | X, A), Eq. 2 ----
     {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(
-            *timers, "SL.TriplePr");
-      }
+      dataflow::StageTimers::Scope t(timers, "SL.TriplePr");
       ForRange(executor, num_items, [&](size_t begin, size_t end) {
         double local_delta = 0.0;
         kernels::EmScratch scratch;
@@ -302,11 +297,7 @@ StatusOr<SingleLayerResult> SingleLayerModel::Run(
 
     // ---- M step: A_s, Eq. 4 ----
     {
-      std::unique_ptr<dataflow::StageTimers::Scope> t;
-      if (timers) {
-        t = std::make_unique<dataflow::StageTimers::Scope>(
-            *timers, "SL.SrcAccu");
-      }
+      dataflow::StageTimers::Scope t(timers, "SL.SrcAccu");
       ForGroups(executor, num_sources, [&](size_t w) {
         if (!r.source_supported[w]) return;
         const auto [b, e] = matrix.SourceSlots(static_cast<uint32_t>(w));

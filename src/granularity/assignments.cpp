@@ -187,11 +187,7 @@ StatusOr<GroupAssignment> SplitMergeAssignment(
 
   // ---------- Source side ----------
   {
-    std::unique_ptr<dataflow::StageTimers::Scope> scope;
-    if (timers != nullptr) {
-      scope = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                             "Prep.Source");
-    }
+    dataflow::StageTimers::Scope scope(timers, "Prep.Source");
     // Atoms are distinct (leaf, item, value) slots; observations reference
     // their atom so they can follow it to its final group.
     using LeafKey = std::tuple<uint32_t, uint32_t, uint32_t>;  // site,pred,page
@@ -240,11 +236,7 @@ StatusOr<GroupAssignment> SplitMergeAssignment(
 
   // ---------- Extractor side ----------
   {
-    std::unique_ptr<dataflow::StageTimers::Scope> scope;
-    if (timers != nullptr) {
-      scope = std::make_unique<dataflow::StageTimers::Scope>(*timers,
-                                                             "Prep.Extractor");
-    }
+    dataflow::StageTimers::Scope scope(timers, "Prep.Extractor");
     using LeafKey = std::tuple<uint32_t, uint32_t, uint32_t, uint32_t>;
     std::map<LeafKey, std::vector<uint64_t>> leaf_atoms;
     for (size_t i = 0; i < data.size(); ++i) {

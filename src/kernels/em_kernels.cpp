@@ -115,29 +115,12 @@ Tally TallyEdges(const uint32_t* edges, size_t n, const float* conf,
   return Tally{CombineLanes(num), CombineLanes(den)};
 }
 
-void StageVotes(const double* weight, const uint32_t* index,
-                const double* table, size_t begin, size_t end, double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = weight[i] * table[index[i]];
-  }
-}
-
 void StageVotesMasked(const double* mask, const double* weight,
                       const uint32_t* index, const double* table, size_t begin,
                       size_t end, double* out) {
   KBT_KERNELS_SIMD_LOOP
   for (size_t i = begin; i < end; ++i) {
     out[i - begin] = (mask[i] * weight[i]) * table[index[i]];
-  }
-}
-
-void StageVotesSub(const double* weight, const uint32_t* index,
-                   const double* table, const double* sub, size_t begin,
-                   size_t end, double* out) {
-  KBT_KERNELS_SIMD_LOOP
-  for (size_t i = begin; i < end; ++i) {
-    out[i - begin] = weight[i] * (table[index[i]] - sub[i]);
   }
 }
 

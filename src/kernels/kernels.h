@@ -77,28 +77,18 @@ Tally TallyEdges(const uint32_t* edges, size_t n, const float* conf,
 // Elementwise staging sweeps (contiguous [begin, end) ranges)
 // ---------------------------------------------------------------------------
 
-/// out[i] = weight[i] * table[index[i]] for i in [begin, end). The E-step
-/// vote staging: weight is the per-slot claim/correctness stream, table the
-/// per-source vote memo. out is indexed relative to begin (out[0]
-/// corresponds to element `begin`).
-void StageVotes(const double* weight, const uint32_t* index,
-                const double* table, size_t begin, size_t end, double* out);
-
-/// out[i] = (mask[i] * weight[i]) * table[index[i]]. Multilayer Stage II:
-/// mask is the 0/1 source-support stream (as doubles), weight the
-/// per-iteration p(C|X) stream.
+/// out[i] = (mask[i] * weight[i]) * table[index[i]] for i in [begin, end).
+/// The E-step vote staging (multilayer Stage II, single-layer E step): mask
+/// is the 0/1 source-support stream (as doubles), weight the per-slot
+/// claim/correctness stream, table the per-source vote memo. out is indexed
+/// relative to begin (out[0] corresponds to element `begin`).
 void StageVotesMasked(const double* mask, const double* weight,
                       const uint32_t* index, const double* table, size_t begin,
                       size_t end, double* out);
 
-/// out[i] = weight[i] * (table[index[i]] - sub[i]). The POPACCU vote:
-/// table holds per-source log-odds, sub the per-slot log-popularity memo.
-void StageVotesSub(const double* weight, const uint32_t* index,
-                   const double* table, const double* sub, size_t begin,
-                   size_t end, double* out);
-
-/// out[i] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]). Multilayer
-/// POPACCU Stage II.
+/// out[i] = (mask[i] * weight[i]) * (table[index[i]] - sub[i]). The POPACCU
+/// vote: table holds per-source log-odds, sub the per-slot log-popularity
+/// memo.
 void StageVotesMaskedSub(const double* mask, const double* weight,
                          const uint32_t* index, const double* table,
                          const double* sub, size_t begin, size_t end,

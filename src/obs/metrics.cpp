@@ -1,6 +1,7 @@
 #include "kbt/obs.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -161,6 +162,10 @@ Histogram::Histogram(std::vector<double> edges)
       counts_(edges_.size()),
       min_value_(std::numeric_limits<double>::infinity()),
       max_value_(-std::numeric_limits<double>::infinity()) {
+  assert(!edges_.empty());
+  for (size_t i = 1; i < edges_.size(); ++i) {
+    assert(edges_[i] > edges_[i - 1]);
+  }
   for (auto& c : counts_) c.store(0.0, std::memory_order_relaxed);
 }
 

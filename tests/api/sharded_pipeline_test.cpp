@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <future>
 #include <set>
 #include <string>
@@ -483,6 +484,86 @@ TEST(TrustServiceShardedTest, ShardedAndPlainSessionsCoexist) {
   EXPECT_EQ(service.SessionNames().size(), 2u);
   EXPECT_EQ(service.stats().runs_submitted, 2u);
   EXPECT_EQ(service.stats().snapshots_published, 2u);
+}
+
+// Plain and sharded sessions share one name space and one adoption path:
+// a collision is rejected whichever kind holds the name, before the
+// caller's pipeline is touched.
+TEST(TrustServiceShardedTest, DuplicateNamesAreRejectedAcrossKinds) {
+  TrustService service;
+  auto plain = BuildUnsharded(17);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(service.CreateSession("plain", std::move(*plain)).ok());
+  auto sharded = BuildSharded(17, 2);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_TRUE(service.CreateShardedSession("sharded",
+                                           std::move(*sharded)).ok());
+
+  auto rejected_sharded = BuildSharded(18, 2);
+  ASSERT_TRUE(rejected_sharded.ok());
+  for (const char* name : {"plain", "sharded"}) {
+    const Status again =
+        service.CreateShardedSession(name, std::move(*rejected_sharded));
+    EXPECT_EQ(again.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(again.message().find("already exists"), std::string::npos)
+        << again.ToString();
+  }
+  auto rejected_plain = BuildUnsharded(18);
+  ASSERT_TRUE(rejected_plain.ok());
+  EXPECT_EQ(service.CreateSession("sharded", std::move(*rejected_plain))
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.SessionNames().size(), 2u);
+
+  // Neither rejected pipeline was consumed: both still run, and register
+  // under free names.
+  EXPECT_TRUE(rejected_sharded->Run().ok());
+  EXPECT_TRUE(rejected_plain->Run().ok());
+  EXPECT_TRUE(service.CreateShardedSession("sharded2",
+                                           std::move(*rejected_sharded)).ok());
+  EXPECT_TRUE(service.CreateSession("plain2", std::move(*rejected_plain))
+                  .ok());
+  EXPECT_TRUE(service.SubmitRun("sharded2").get().ok());
+}
+
+// A cache directory that cannot be created fails the adoption of either
+// kind, and the failure rolls the name reservation back: a retry sees the
+// cache error again (not a phantom reservation), and once the directory is
+// usable the same name registers.
+TEST(TrustServiceShardedTest, FailedCacheEnableRollsBackTheReservation) {
+  const std::string path =
+      std::string(::testing::TempDir()) + "/kbt_service_bad_cache";
+  std::filesystem::remove_all(path);
+  { std::ofstream(path) << "not a directory"; }
+  TrustService::ServiceOptions options;
+  options.cache_directory = path;
+  TrustService service(options);
+
+  auto sharded = BuildSharded(19, 2);
+  ASSERT_TRUE(sharded.ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const Status failed =
+        service.CreateShardedSession("cube", std::move(*sharded));
+    EXPECT_FALSE(failed.ok()) << attempt;
+    EXPECT_EQ(failed.message().find("session 'cube'"), std::string::npos)
+        << failed.ToString();
+    EXPECT_FALSE(service.HasSession("cube"));
+    EXPECT_TRUE(service.SessionNames().empty());
+  }
+  auto plain = BuildUnsharded(19);
+  ASSERT_TRUE(plain.ok());
+  const Status plain_failed = service.CreateSession("cube", std::move(*plain));
+  EXPECT_FALSE(plain_failed.ok());
+  EXPECT_EQ(plain_failed.message().find("session 'cube'"), std::string::npos)
+      << plain_failed.ToString();
+
+  std::filesystem::remove(path);
+  std::filesystem::create_directories(path);
+  ASSERT_TRUE(service.CreateShardedSession("cube", std::move(*sharded)).ok());
+  EXPECT_TRUE(service.HasSession("cube"));
+  EXPECT_TRUE(service.SubmitRun("cube").get().ok());
+  service.Drain();
+  std::filesystem::remove_all(path);
 }
 
 // Sanitizer-facing stress: concurrent submitters and lock-free readers

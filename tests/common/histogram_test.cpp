@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include "kbt/obs.h"
+
 namespace kbt {
 namespace {
+
+// The paper-figure axes are edge lists; obs::Histogram does the bucketing.
+using obs::Histogram;
 
 TEST(HistogramTest, BucketIndexRespectsEdges) {
   Histogram h({0.0, 1.0, 2.0});
@@ -34,7 +39,7 @@ TEST(HistogramTest, AddAccumulatesWeight) {
 }
 
 TEST(HistogramTest, TripleCountBucketsMatchFigure5Axis) {
-  Histogram h = Histogram::TripleCountBuckets();
+  Histogram h(TripleCountBucketEdges());
   // 1..10 singleton buckets + 11-100, 100-1K, 1K-10K, 10K-100K, 100K-1M, >1M.
   EXPECT_EQ(h.num_buckets(), 16u);
   EXPECT_EQ(h.BucketIndex(1), 0u);
@@ -48,7 +53,7 @@ TEST(HistogramTest, TripleCountBucketsMatchFigure5Axis) {
 }
 
 TEST(HistogramTest, UniformProbabilityBuckets) {
-  Histogram h = Histogram::UniformProbabilityBuckets(20);
+  Histogram h(UniformProbabilityBucketEdges(20));
   EXPECT_EQ(h.num_buckets(), 20u);
   EXPECT_EQ(h.BucketIndex(0.0), 0u);
   EXPECT_EQ(h.BucketIndex(0.049), 0u);
@@ -58,7 +63,7 @@ TEST(HistogramTest, UniformProbabilityBuckets) {
 }
 
 TEST(HistogramTest, WDevBucketsAreFineAtTheEnds) {
-  Histogram h = Histogram::WDevBuckets();
+  Histogram h(WDevBucketEdges());
   // [0,0.01).. x5, [0.05,0.1).. x18, [0.95,0.96).. x5, [1,1] -> 29 buckets.
   EXPECT_EQ(h.num_buckets(), 29u);
   // Fine granularity near 0.

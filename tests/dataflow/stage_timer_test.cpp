@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,43 +17,38 @@ TEST(StageTimersTest, AddAccumulates) {
   EXPECT_DOUBLE_EQ(timers.TotalSeconds("ExtCorr"), 2.0);
   EXPECT_DOUBLE_EQ(timers.TotalSeconds("TriplePr"), 2.0);
   EXPECT_EQ(timers.Count("ExtCorr"), 2);
-  EXPECT_DOUBLE_EQ(timers.MeanSeconds("ExtCorr"), 1.0);
 }
 
 TEST(StageTimersTest, UnknownStageIsZero) {
   StageTimers timers;
   EXPECT_DOUBLE_EQ(timers.TotalSeconds("nope"), 0.0);
   EXPECT_EQ(timers.Count("nope"), 0);
-  EXPECT_DOUBLE_EQ(timers.MeanSeconds("nope"), 0.0);
 }
 
 TEST(StageTimersTest, ScopeRecordsElapsedTime) {
   StageTimers timers;
   {
-    StageTimers::Scope scope(timers, "stage");
+    StageTimers::Scope scope(&timers, "stage");
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_GE(timers.TotalSeconds("stage"), 0.015);
   EXPECT_EQ(timers.Count("stage"), 1);
 }
 
-TEST(StageTimersTest, EntriesSortedByName) {
-  StageTimers timers;
-  timers.Add("b", 1.0);
-  timers.Add("a", 2.0);
-  timers.Add("c", 3.0);
-  const auto entries = timers.Entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries[0].first, "a");
-  EXPECT_EQ(entries[1].first, "b");
-  EXPECT_EQ(entries[2].first, "c");
+TEST(StageTimersTest, NullScopeIsANoOp) {
+  // The one-line call-site form: a run without timers passes null, and the
+  // scope records nowhere (no kbt_em_stage_seconds series appears).
+  obs::SetMetricsEnabled(true);
+  const size_t registered = obs::MetricsRegistry::Default().size();
+  { StageTimers::Scope scope(nullptr, "null-scope-probe"); }
+  EXPECT_EQ(obs::MetricsRegistry::Default().size(), registered);
 }
 
 TEST(StageTimersTest, ClearResets) {
   StageTimers timers;
   timers.Add("x", 1.0);
   timers.Clear();
-  EXPECT_TRUE(timers.Entries().empty());
+  EXPECT_EQ(timers.Count("x"), 0);
   EXPECT_DOUBLE_EQ(timers.TotalSeconds("x"), 0.0);
 }
 

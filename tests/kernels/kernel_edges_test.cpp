@@ -26,7 +26,7 @@ namespace kbt::kernels {
 namespace {
 
 using kbt::testing::ContractTallyIndexed;
-using kbt::testing::ContractVote;
+using kbt::testing::ContractVoteMasked;
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
@@ -47,9 +47,7 @@ TEST(KernelEdgesTest, EmptyRangesAreExactZeroOnBothKinds) {
   EXPECT_EQ(Bits(t3.den), Bits(0.0));
   // begin == end staging ranges are no-ops.
   double out = 42.0;
-  StageVotes(no_d, no_idx, no_d, 5, 5, &out);
   StageVotesMasked(no_d, no_d, no_idx, no_d, 5, 5, &out);
-  StageVotesSub(no_d, no_idx, no_d, no_d, 5, 5, &out);
   StageVotesMaskedSub(no_d, no_d, no_idx, no_d, no_d, 5, 5, &out);
   StageEdgeTerms(no_f, no_idx, no_d, 5, 5, &out);
   EXPECT_EQ(out, 42.0);
@@ -73,11 +71,16 @@ TEST(KernelEdgesTest, DenormalWeightsAgreeBitForBit) {
   EXPECT_EQ(Bits(got.num), Bits(want.num));
   EXPECT_EQ(Bits(got.den), Bits(want.den));
 
+  // Unmasked staging (all-ones mask; 1.0 * w == w, denormals included).
+  const std::vector<double> ones(w.size(), 1.0);
   std::vector<double> out(w.size());
-  StageVotes(w.data(), idx.data(), p.data(), 0, w.size(), out.data());
+  StageVotesMasked(ones.data(), w.data(), idx.data(), p.data(), 0, w.size(),
+                   out.data());
   for (size_t i = 0; i < w.size(); ++i) {
-    const double vote = ContractVote(w.data(), idx.data(), p.data(), i);
+    const double vote =
+        ContractVoteMasked(ones.data(), w.data(), idx.data(), p.data(), i);
     ASSERT_EQ(Bits(out[i]), Bits(vote)) << i;
+    ASSERT_EQ(Bits(out[i]), Bits(w[i] * p[i])) << i;
   }
 }
 
@@ -92,13 +95,15 @@ TEST(KernelEdgesTest, VotesAtClampBoundariesStayFinite) {
   std::vector<double> w(table.size(), 1.0);
   std::vector<uint32_t> idx(table.size());
   for (size_t i = 0; i < idx.size(); ++i) idx[i] = uint32_t(i);
+  const std::vector<double> ones(table.size(), 1.0);
   std::vector<double> out_s(table.size());
-  StageVotes(w.data(), idx.data(), table.data(), 0, table.size(),
-             out_s.data());
+  StageVotesMasked(ones.data(), w.data(), idx.data(), table.data(), 0,
+                   table.size(), out_s.data());
   for (size_t i = 0; i < table.size(); ++i) {
     ASSERT_TRUE(std::isfinite(out_s[i]));
-    ASSERT_EQ(Bits(out_s[i]),
-              Bits(ContractVote(w.data(), idx.data(), table.data(), i)))
+    ASSERT_EQ(Bits(out_s[i]), Bits(ContractVoteMasked(ones.data(), w.data(),
+                                                      idx.data(),
+                                                      table.data(), i)))
         << i;
   }
   // An item voted entirely at the clamp bounds still yields a normalized

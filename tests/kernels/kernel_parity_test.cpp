@@ -39,10 +39,8 @@ using kbt::testing::ContractEdgeTerm;
 using kbt::testing::ContractTallyEdges;
 using kbt::testing::ContractTallyIndexed;
 using kbt::testing::ContractTallyMap;
-using kbt::testing::ContractVote;
 using kbt::testing::ContractVoteMasked;
 using kbt::testing::ContractVoteMaskedSub;
-using kbt::testing::ContractVoteSub;
 
 // Slot/edge counts crossing every lane boundary: empty, below the lane
 // count, exactly the lane count, one over, around two and four lane rows,
@@ -167,37 +165,27 @@ TEST(KernelParityTest, StagingSweepsMatchBitForBitAcrossSizes) {
       std::vector<double> got(n, -1.0);
       std::vector<double> want(n, -2.0);
 
-      StageVotes(in.w.data(), in.idx.data(), in.table.data(), 0, n,
-                 got.data());
-      for (size_t i = 0; i < n; ++i) {
-        want[i] = ContractVote(in.w.data(), in.idx.data(), in.table.data(), i);
-      }
-      ExpectVectorBitsEq(got, want, "StageVotes");
+      // The input's 0/1 support mask, then an all-ones mask: the unmasked
+      // vote, bit-exact because 1.0 * w == w.
+      const std::vector<double> ones(n, 1.0);
+      for (const std::vector<double>* mask : {&in.mask, &ones}) {
+        StageVotesMasked(mask->data(), in.w.data(), in.idx.data(),
+                         in.table.data(), 0, n, got.data());
+        for (size_t i = 0; i < n; ++i) {
+          want[i] = ContractVoteMasked(mask->data(), in.w.data(),
+                                       in.idx.data(), in.table.data(), i);
+        }
+        ExpectVectorBitsEq(got, want, "StageVotesMasked");
 
-      StageVotesMasked(in.mask.data(), in.w.data(), in.idx.data(),
-                       in.table.data(), 0, n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        want[i] = ContractVoteMasked(in.mask.data(), in.w.data(),
-                                     in.idx.data(), in.table.data(), i);
+        StageVotesMaskedSub(mask->data(), in.w.data(), in.idx.data(),
+                            in.table.data(), in.sub.data(), 0, n, got.data());
+        for (size_t i = 0; i < n; ++i) {
+          want[i] = ContractVoteMaskedSub(mask->data(), in.w.data(),
+                                          in.idx.data(), in.table.data(),
+                                          in.sub.data(), i);
+        }
+        ExpectVectorBitsEq(got, want, "StageVotesMaskedSub");
       }
-      ExpectVectorBitsEq(got, want, "StageVotesMasked");
-
-      StageVotesSub(in.w.data(), in.idx.data(), in.table.data(),
-                    in.sub.data(), 0, n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        want[i] = ContractVoteSub(in.w.data(), in.idx.data(), in.table.data(),
-                                  in.sub.data(), i);
-      }
-      ExpectVectorBitsEq(got, want, "StageVotesSub");
-
-      StageVotesMaskedSub(in.mask.data(), in.w.data(), in.idx.data(),
-                          in.table.data(), in.sub.data(), 0, n, got.data());
-      for (size_t i = 0; i < n; ++i) {
-        want[i] = ContractVoteMaskedSub(in.mask.data(), in.w.data(),
-                                        in.idx.data(), in.table.data(),
-                                        in.sub.data(), i);
-      }
-      ExpectVectorBitsEq(got, want, "StageVotesMaskedSub");
 
       StageEdgeTerms(in.conf.data(), in.group.data(), in.net.data(), 0, n,
                      got.data());
@@ -215,19 +203,32 @@ TEST(KernelParityTest, StagingHonorsNonZeroBegin) {
   // out[0] anchored at begin; an off-by-one here corrupts votes silently.
   const size_t n = 97;
   const KernelInputs in = MakeInputs(n, /*seed=*/71, /*all_false=*/false);
-  std::vector<double> whole(n);
-  for (size_t i = 0; i < n; ++i) {
-    whole[i] = ContractVoteMasked(in.mask.data(), in.w.data(), in.idx.data(),
-                                  in.table.data(), i);
-  }
-  for (size_t begin : {size_t{0}, size_t{1}, size_t{3}, size_t{64}, n}) {
-    for (size_t end : {begin, std::min(begin + 5, n), n}) {
-      std::vector<double> part(end - begin, -7.0);
-      StageVotesMasked(in.mask.data(), in.w.data(), in.idx.data(),
-                       in.table.data(), begin, end, part.data());
-      for (size_t i = 0; i < part.size(); ++i) {
-        ASSERT_EQ(Bits(part[i]), Bits(whole[begin + i]))
-            << "begin=" << begin << " end=" << end << " i=" << i;
+  const std::vector<double> ones(n, 1.0);
+  for (const std::vector<double>* mask : {&in.mask, &ones}) {
+    std::vector<double> whole(n);
+    std::vector<double> whole_sub(n);
+    for (size_t i = 0; i < n; ++i) {
+      whole[i] = ContractVoteMasked(mask->data(), in.w.data(), in.idx.data(),
+                                    in.table.data(), i);
+      whole_sub[i] =
+          ContractVoteMaskedSub(mask->data(), in.w.data(), in.idx.data(),
+                                in.table.data(), in.sub.data(), i);
+    }
+    for (size_t begin : {size_t{0}, size_t{1}, size_t{3}, size_t{64}, n}) {
+      for (size_t end : {begin, std::min(begin + 5, n), n}) {
+        std::vector<double> part(end - begin, -7.0);
+        std::vector<double> part_sub(end - begin, -7.0);
+        StageVotesMasked(mask->data(), in.w.data(), in.idx.data(),
+                         in.table.data(), begin, end, part.data());
+        StageVotesMaskedSub(mask->data(), in.w.data(), in.idx.data(),
+                            in.table.data(), in.sub.data(), begin, end,
+                            part_sub.data());
+        for (size_t i = 0; i < part.size(); ++i) {
+          ASSERT_EQ(Bits(part[i]), Bits(whole[begin + i]))
+              << "begin=" << begin << " end=" << end << " i=" << i;
+          ASSERT_EQ(Bits(part_sub[i]), Bits(whole_sub[begin + i]))
+              << "sub begin=" << begin << " end=" << end << " i=" << i;
+        }
       }
     }
   }

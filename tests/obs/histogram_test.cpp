@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -201,6 +202,19 @@ TEST(HistogramTest, CopyCapturesValues) {
   EXPECT_DOUBLE_EQ(a.total_weight(), 2.0);
   b = a;
   EXPECT_DOUBLE_EQ(b.total_weight(), 2.0);
+}
+
+// The constructor asserts its edge contract; a release build skips the
+// check (EXPECT_DEBUG_DEATH then only runs the statement).
+TEST(HistogramDeathTest, ConstructorRejectsEmptyOrUnsortedEdges) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto make = [](std::vector<double> edges) {
+    return Histogram(std::move(edges)).num_buckets();
+  };
+  EXPECT_DEBUG_DEATH(make({}), "");
+  EXPECT_DEBUG_DEATH(make({1.0, 1.0}), "");
+  EXPECT_DEBUG_DEATH(make({2.0, 1.0}), "");
+  EXPECT_EQ(make({1.0, 2.0}), 2u);
 }
 
 TEST(HistogramTest, ConcurrentAddsLoseNothing) {

@@ -80,21 +80,10 @@ inline kernels::Tally ContractTallyEdges(const uint32_t* edges, size_t n,
 
 // Per-element staging formulas (element i of the swept range).
 
-inline double ContractVote(const double* weight, const uint32_t* index,
-                           const double* table, size_t i) {
-  return weight[i] * table[index[i]];
-}
-
 inline double ContractVoteMasked(const double* mask, const double* weight,
                                  const uint32_t* index, const double* table,
                                  size_t i) {
   return (mask[i] * weight[i]) * table[index[i]];
-}
-
-inline double ContractVoteSub(const double* weight, const uint32_t* index,
-                              const double* table, const double* sub,
-                              size_t i) {
-  return weight[i] * (table[index[i]] - sub[i]);
 }
 
 inline double ContractVoteMaskedSub(const double* mask, const double* weight,
