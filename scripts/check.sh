@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Full local/CI check: repo invariant linter, docs consistency, configure,
-# build, test, smoke-run the quickstart, the serving + query + streaming
-# demos, and the append/serving/cache/query/stream/table7 benches (emitting
+# Full local/CI check: repo invariant linter, docs consistency, the
+# benchmark harness's unit tests, configure, build, test, smoke-run the
+# quickstart, the serving + query + streaming demos, and the
+# append/serving/cache/query/stream/table7 benches (emitting
 # BENCH_*.json for trend tooling; the table7 smoke includes the EM-kernel
 # parity hard gate). Extra configure arguments (e.g. -DKBT_WERROR=ON in CI)
 # come in through KBT_CONFIGURE_ARGS.
@@ -14,6 +15,9 @@ cd "$(dirname "$0")/.."
 
 python3 scripts/lint_invariants.py
 ./scripts/check_docs.sh
+# The repo benchmark's own logic tests (statistics, comparison, parsing);
+# -B keeps them from writing bytecode into perfbench/.
+python3 -B -m unittest discover -s perfbench/tests
 
 # Non-blocking format drift report (see .clang-format): tool-optional so
 # the check runs the same everywhere, advisory so whitespace never gates a

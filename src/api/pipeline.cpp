@@ -489,25 +489,7 @@ Status Pipeline::AppendObservations(
   // Validate everything before mutating, so a rejected batch leaves the
   // dataset untouched and the grown cube always satisfies
   // io::ValidateRawDataset (new predicates get the default domain below).
-  for (size_t i = 0; i < observations.size(); ++i) {
-    const extract::RawObservation& obs = observations[i];
-    if (obs.extractor == kb::kInvalidId || obs.pattern == kb::kInvalidId ||
-        obs.website == kb::kInvalidId || obs.page == kb::kInvalidId ||
-        obs.value == kb::kInvalidId) {
-      return Status::InvalidArgument(
-          "appended observation " + std::to_string(i) +
-          " carries an invalid id");
-    }
-    const kb::PredicateId predicate = kb::DataItemPredicate(obs.item);
-    if (predicate < data.num_false_by_predicate.size() &&
-        data.num_false_by_predicate[predicate] < 1) {
-      return Status::InvalidArgument(
-          "appended observation " + std::to_string(i) +
-          " references predicate " + std::to_string(predicate) +
-          " with non-positive domain size n = " +
-          std::to_string(data.num_false_by_predicate[predicate]));
-    }
-  }
+  KBT_RETURN_IF_ERROR(io::ValidateAppendedObservations(data, observations));
   for (const extract::RawObservation& obs : observations) {
     data.num_extractors = std::max(data.num_extractors, obs.extractor + 1);
     data.num_patterns = std::max(data.num_patterns, obs.pattern + 1);

@@ -6,6 +6,7 @@
 #include "common/thread_pool.h"
 #include "dataflow/parallel.h"
 #include "extract/dataset_partition.h"
+#include "io/dataset_io.h"
 #include "kb/ids.h"
 #include "kbt/obs.h"
 #include "kbt/shard.h"
@@ -274,30 +275,11 @@ Status ShardedPipeline::AppendObservations(
   if (observations.empty()) return Status::OK();
   // Pre-validate the WHOLE delta before any shard mutates, so a bad batch
   // is rejected all-or-nothing (per-shard appends alone would apply the
-  // valid shards' slices first). The checks mirror
-  // Pipeline::AppendObservations; any shard's nfalse table works for the
-  // domain-size check — original entries are replicated and grown entries
+  // valid shards' slices first). Any shard's nfalse table serves the
+  // domain-size check: original entries are replicated and grown entries
   // are always the positive default.
-  const extract::RawDataset& reference = impl.shards[0].dataset();
-  for (size_t i = 0; i < observations.size(); ++i) {
-    const extract::RawObservation& obs = observations[i];
-    if (obs.extractor == kb::kInvalidId || obs.pattern == kb::kInvalidId ||
-        obs.website == kb::kInvalidId || obs.page == kb::kInvalidId ||
-        obs.value == kb::kInvalidId) {
-      return Status::InvalidArgument("appended observation " +
-                                     std::to_string(i) +
-                                     " carries an invalid id");
-    }
-    const kb::PredicateId predicate = kb::DataItemPredicate(obs.item);
-    if (predicate < reference.num_false_by_predicate.size() &&
-        reference.num_false_by_predicate[predicate] < 1) {
-      return Status::InvalidArgument(
-          "appended observation " + std::to_string(i) +
-          " references predicate " + std::to_string(predicate) +
-          " with non-positive domain size n = " +
-          std::to_string(reference.num_false_by_predicate[predicate]));
-    }
-  }
+  KBT_RETURN_IF_ERROR(io::ValidateAppendedObservations(
+      impl.shards[0].dataset(), observations));
   extract::PartitionOptions partition_options;
   partition_options.num_shards = impl.num_shards;
   partition_options.salt = impl.salt;

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
 #include "common/math.h"
 #include "common/mutex.h"
+#include "core/value_layer.h"
 #include "kernels/kernels.h"
 
 namespace kbt::core {
@@ -101,25 +102,6 @@ class ScopeTable {
   std::unordered_map<uint32_t, double> by_site_;
   std::unordered_map<uint64_t, double> by_pred_site_;
 };
-
-/// Serial fallbacks when no executor is supplied.
-void ForRange(dataflow::Executor* ex, size_t n,
-              const std::function<void(size_t, size_t)>& fn) {
-  if (ex != nullptr) {
-    ex->ParallelForRanges(n, fn);
-  } else if (n > 0) {
-    fn(0, n);
-  }
-}
-
-void ForGroups(dataflow::Executor* ex, size_t n,
-               const std::function<void(size_t)>& fn) {
-  if (ex != nullptr) {
-    ex->ParallelForGroups(n, fn);
-  } else {
-    for (size_t g = 0; g < n; ++g) fn(g);
-  }
-}
 
 }  // namespace
 
@@ -245,16 +227,8 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
   }
 
   // ---- Support flags (static: structure does not change) ----
-  r.source_supported.assign(num_sources, 0);
-  for (uint32_t w = 0; w < num_sources; ++w) {
-    const auto [b, e] = matrix.SourceSlots(w);
-    const bool trusted =
-        !initial.source_trusted.empty() && initial.source_trusted[w] != 0;
-    r.source_supported[w] =
-        (trusted || static_cast<int>(e - b) >= config.min_source_support)
-            ? 1
-            : 0;
-  }
+  r.source_supported = SourceSupport(matrix, config.min_source_support,
+                                     initial.source_trusted);
   r.extractor_supported.assign(num_groups, 0);
   for (uint32_t g = 0; g < num_groups; ++g) {
     const auto [b, e] = matrix.ExtractorEdges(g);
@@ -280,16 +254,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
   // ---- POPACCU empirical value popularity per slot ----
   std::vector<double> slot_popularity;
   if (config.value_model == ValueModel::kPopAccu) {
-    slot_popularity.resize(num_slots, 0.0);
-    for (size_t i = 0; i < num_items; ++i) {
-      const auto [b, e] = matrix.ItemSlots(i);
-      std::unordered_map<uint32_t, double> counts;
-      for (uint32_t s = b; s < e; ++s) counts[matrix.slot_value(s)] += 1.0;
-      const double total = static_cast<double>(e - b);
-      for (uint32_t s = b; s < e; ++s) {
-        slot_popularity[s] = counts[matrix.slot_value(s)] / total;
-      }
-    }
+    slot_popularity = SlotPopularity(matrix);
   }
 
   // ---- Latent state ----
@@ -322,8 +287,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
   refresh_votes();
 
   // ---- Kernel streams ----
-  const kernels::Kind kind = config.kernel;
-  const bool vectorized = kind == kernels::Kind::kVectorized;
+  const bool vectorized = config.kernel == kernels::Kind::kVectorized;
 
   // Stage II gate: source support only (structure is static).
   std::vector<uint8_t> covered_mask(num_slots, 0);
@@ -331,52 +295,14 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     covered_mask[s] = r.source_supported[matrix.slot_source(s)];
   }
 
-  // The staged E step memoizes one SourceVote per source; that needs one n
-  // shared by all items (given by the override, or by all schema n's
-  // agreeing — the common case). Otherwise the vectorized kind falls back
-  // to per-slot votes.
-  int uniform_n = config.num_false_override >= 1 ? config.num_false_override
-                                                 : -1;
-  if (uniform_n < 1 && num_items > 0) {
-    uniform_n = matrix.item_num_false(0);
-    for (size_t i = 1; i < num_items; ++i) {
-      if (matrix.item_num_false(i) != uniform_n) {
-        uniform_n = -1;
-        break;
-      }
-    }
-  }
-  const bool use_staged = vectorized && uniform_n >= 1;
-
-  std::vector<double> support_mask;
-  std::vector<double> log_pop;
-  std::vector<double> src_vote;
+  // Stage II memo streams of the vectorized kind, plus the MAP (Eq. 27)
+  // weight stream its staging reads in place of p(C|X).
+  std::optional<ValueLayer> value_layer;
   std::vector<double> wc_stream;
-  std::vector<uint32_t> slot_vi;
-  std::vector<uint32_t> item_num_values;
-  if (use_staged) {
-    support_mask.resize(num_slots);
-    for (size_t s = 0; s < num_slots; ++s) {
-      support_mask[s] = covered_mask[s] != 0 ? 1.0 : 0.0;
-    }
-    if (config.value_model == ValueModel::kPopAccu) {
-      log_pop.resize(num_slots);
-      for (size_t s = 0; s < num_slots; ++s) {
-        log_pop[s] = SafeLog(slot_popularity[s]);
-      }
-    }
-    src_vote.resize(num_sources, 0.0);
+  if (vectorized) {
+    value_layer.emplace(matrix, config.value_model, config.num_false_override,
+                        r.source_supported, slot_popularity);
     if (!config.weighted_value_votes) wc_stream.resize(num_slots, 0.0);
-    // The value grouping is a pure function of the static slot layout:
-    // discover it once here instead of per item, per iteration.
-    slot_vi.resize(num_slots);
-    item_num_values.resize(num_items);
-    kernels::EmScratch vi_scratch;
-    for (size_t i = 0; i < num_items; ++i) {
-      const auto [b, e] = matrix.ItemSlots(i);
-      item_num_values[i] = kernels::BuildValueIndex(
-          b, e, matrix.slot_values().data(), slot_vi.data(), &vi_scratch);
-    }
   }
 
   // Stage I memo of the per-(predicate, website) absence total: slots
@@ -426,7 +352,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
           pair_absence[pid] =
               absence_universe.SumCovering(pair_pred[pid], pair_site[pid]);
         }
-        ForRange(executor, num_slots, [&](size_t begin, size_t end) {
+        dataflow::ForRange(executor, num_slots, [&](size_t begin, size_t end) {
           kernels::EmScratch scratch;
           size_t s = begin;
           while (s < end) {
@@ -454,7 +380,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
           }
         });
       } else {
-        ForRange(executor, num_slots, [&](size_t begin, size_t end) {
+        dataflow::ForRange(executor, num_slots, [&](size_t begin, size_t end) {
           for (size_t s = begin; s < end; ++s) {
             double vcc = absence_universe.SumCovering(matrix.slot_predicate(s),
                                                       matrix.slot_website(s));
@@ -501,7 +427,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
         }
       }
 
-      ForRange(executor, num_slots, [&](size_t begin, size_t end) {
+      dataflow::ForRange(executor, num_slots, [&](size_t begin, size_t end) {
         double local_delta = 0.0;
         for (size_t s = begin; s < end; ++s) {
           const double c = Sigmoid(slot_logodds[s] + tau);
@@ -523,20 +449,9 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     // ============ Stage II: triple truth p(V_d|X), Eqs. 21/25 ============
     {
       dataflow::StageTimers::Scope t(timers, "II.TriplePr");
-      if (use_staged) {
-        // Per-iteration memo streams: one SourceVote (or log-odds) per
-        // source, and the per-slot correctness weight (Eq. 25 soft weight,
-        // or its MAP threshold).
-        if (config.value_model == ValueModel::kAccu) {
-          for (uint32_t w = 0; w < num_sources; ++w) {
-            src_vote[w] = SourceVote(r.source_accuracy[w], uniform_n);
-          }
-        } else {
-          for (uint32_t w = 0; w < num_sources; ++w) {
-            const double a = ClampProbability(r.source_accuracy[w]);
-            src_vote[w] = std::log(a / (1.0 - a));
-          }
-        }
+      if (value_layer) {
+        // Per-slot correctness weight: the Eq. 25 soft weight, or its MAP
+        // threshold.
         const double* wc_ptr = r.slot_correct_prob.data();
         if (!config.weighted_value_votes) {
           for (size_t s = 0; s < num_slots; ++s) {
@@ -544,54 +459,17 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
           }
           wc_ptr = wc_stream.data();
         }
-        ForRange(executor, num_items, [&](size_t begin, size_t end) {
-          double local_delta = 0.0;
-          kernels::EmScratch scratch;
-          size_t i = begin;
-          while (i < end) {
-            const uint32_t slot_b = matrix.ItemSlots(i).first;
-            uint32_t slot_e = matrix.ItemSlots(i).second;
-            size_t j = i + 1;
-            while (j < end) {
-              const uint32_t je = matrix.ItemSlots(j).second;
-              if (je - slot_b > kernels::kStageBlock) break;
-              slot_e = je;
-              ++j;
-            }
-            scratch.votes.resize(slot_e - slot_b);
-            if (config.value_model == ValueModel::kAccu) {
-              kernels::StageVotesMasked(
-                  support_mask.data(), wc_ptr, matrix.slot_sources().data(),
-                  src_vote.data(), slot_b, slot_e, scratch.votes.data());
-            } else {
-              kernels::StageVotesMaskedSub(
-                  support_mask.data(), wc_ptr, matrix.slot_sources().data(),
-                  src_vote.data(), log_pop.data(), slot_b, slot_e,
-                  scratch.votes.data());
-            }
-            for (; i < j; ++i) {
-              const auto [b, e] = matrix.ItemSlots(i);
-              local_delta = std::max(
-                  local_delta,
-                  kernels::ItemValuePassIndexed(
-                      b, e, scratch.votes.data(), slot_b,
-                      covered_mask.data(), slot_vi.data(),
-                      item_num_values[i], uniform_n,
-                      r.slot_value_prob.data(), r.slot_covered.data(),
-                      &r.item_unobserved_value_prob[i], &scratch));
-            }
-          }
-          note_delta(local_delta);
-        });
+        note_delta(value_layer->Run(
+            r.source_accuracy, wc_ptr, covered_mask.data(), executor,
+            r.slot_value_prob.data(), r.slot_covered.data(),
+            r.item_unobserved_value_prob.data()));
       } else {
-        ForRange(executor, num_items, [&](size_t begin, size_t end) {
+        dataflow::ForRange(executor, num_items, [&](size_t begin, size_t end) {
           double local_delta = 0.0;
           kernels::EmScratch scratch;
           for (size_t i = begin; i < end; ++i) {
             const auto [b, e] = matrix.ItemSlots(i);
-            const int n = config.num_false_override >= 1
-                              ? config.num_false_override
-                              : matrix.item_num_false(i);
+            const int n = ItemNumFalse(matrix, config.num_false_override, i);
             scratch.votes.resize(e - b);
             for (uint32_t s = b; s < e; ++s) {
               const uint32_t w = matrix.slot_source(s);
@@ -614,7 +492,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
             local_delta = std::max(
                 local_delta,
                 kernels::ItemValuePass(
-                    kind, b, e, scratch.votes.data(), b, covered_mask.data(),
+                    b, e, scratch.votes.data(), b, covered_mask.data(),
                     matrix.slot_values().data(), n, r.slot_value_prob.data(),
                     r.slot_covered.data(), &r.item_unobserved_value_prob[i],
                     &scratch));
@@ -627,7 +505,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     // ============ Stage III: source accuracy A_w, Eq. 27/28 ============
     if (config.update_source_accuracy) {
       dataflow::StageTimers::Scope t(timers, "III.SrcAccu");
-      ForGroups(executor, num_sources, [&](size_t w) {
+      dataflow::ForGroups(executor, num_sources, [&](size_t w) {
         if (!r.source_supported[w]) return;  // Stays at initial value.
         const auto [b, e] = matrix.SourceSlots(static_cast<uint32_t>(w));
         const uint32_t* idx = matrix.source_slot_index().data() + b;
@@ -649,15 +527,14 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     // ---- Prior update for alpha (Eq. 26), Section 3.3.4 ----
     if (config.update_alpha &&
         iteration >= config.alpha_update_start_iteration) {
-      ForRange(executor, num_slots, [&](size_t begin, size_t end) {
+      dataflow::ForRange(executor, num_slots, [&](size_t begin, size_t end) {
         for (size_t s = begin; s < end; ++s) {
           const double v = r.slot_value_prob[s];
           const double a_src = r.source_accuracy[matrix.slot_source(s)];
           double false_mass = (1.0 - v) * (1.0 - a_src);
           if (config.alpha_update_rule == AlphaUpdateRule::kDomainNormalized) {
-            const int n = config.num_false_override >= 1
-                              ? config.num_false_override
-                              : matrix.item_num_false(matrix.slot_item(s));
+            const int n = ItemNumFalse(matrix, config.num_false_override,
+                                       matrix.slot_item(s));
             false_mass /= std::max(1, n);
           }
           r.slot_alpha[s] = clampP(v * a_src + false_mass);
@@ -668,7 +545,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     // ============ Stage IV: extractor quality, Eqs. 32-33 + Eq. 7 ============
     if (config.update_extractor_quality) {
       dataflow::StageTimers::Scope t(timers, "IV.ExtQuality");
-      ForGroups(executor, num_groups, [&](size_t g) {
+      dataflow::ForGroups(executor, num_groups, [&](size_t g) {
         if (!r.extractor_supported[g]) return;
         const auto [b, e] = matrix.ExtractorEdges(static_cast<uint32_t>(g));
         const kernels::Tally tally = kernels::TallyEdges(

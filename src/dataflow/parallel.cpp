@@ -77,6 +77,23 @@ Executor& DefaultExecutor() {
   return executor;
 }
 
+void ForRange(Executor* ex, size_t n,
+              const std::function<void(size_t, size_t)>& fn) {
+  if (ex != nullptr) {
+    ex->ParallelForRanges(n, fn);
+  } else if (n > 0) {
+    fn(0, n);
+  }
+}
+
+void ForGroups(Executor* ex, size_t n, const std::function<void(size_t)>& fn) {
+  if (ex != nullptr) {
+    ex->ParallelForGroups(n, fn);
+  } else {
+    for (size_t g = 0; g < n; ++g) fn(g);
+  }
+}
+
 double BlockedSum(Executor* ex, size_t n,
                   const std::function<double(size_t, size_t)>& block_sum,
                   size_t block_size) {

@@ -81,6 +81,16 @@ class Executor {
 /// do not supply their own.
 Executor& DefaultExecutor();
 
+/// Runs `fn(begin, end)` over chunks covering [0, n) on `ex`
+/// (Executor::ParallelForRanges), or as the single range [0, n) on the
+/// calling thread when `ex` is null. Nothing runs when n == 0.
+void ForRange(Executor* ex, size_t n,
+              const std::function<void(size_t, size_t)>& fn);
+
+/// Runs `fn(g)` for each g in [0, n) on `ex` (Executor::ParallelForGroups),
+/// or in ascending order on the calling thread when `ex` is null.
+void ForGroups(Executor* ex, size_t n, const std::function<void(size_t)>& fn);
+
 /// Fixed block size of BlockedSum. Part of its determinism contract: the
 /// partial-sum boundaries never move, whatever the executor looks like.
 inline constexpr size_t kBlockedSumBlock = 4096;

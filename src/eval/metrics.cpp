@@ -25,22 +25,10 @@ double WeightedDeviation(const std::vector<double>& predicted,
                          const std::vector<uint8_t>& truth) {
   assert(predicted.size() == truth.size());
   if (predicted.empty()) return 0.0;
-  const std::vector<double> edges = WDevBucketEdges();
-  obs::Histogram sums(edges);
-  obs::Histogram hits(edges);
-  obs::Histogram counts(edges);
-  for (size_t i = 0; i < predicted.size(); ++i) {
-    sums.Add(predicted[i], predicted[i]);
-    hits.Add(predicted[i], truth[i] ? 1.0 : 0.0);
-    counts.Add(predicted[i], 1.0);
-  }
   double weighted = 0.0;
-  for (size_t b = 0; b < counts.num_buckets(); ++b) {
-    const double n = counts.bucket_count(b);
-    if (n <= 0.0) continue;
-    const double mean_pred = sums.bucket_count(b) / n;
-    const double accuracy = hits.bucket_count(b) / n;
-    weighted += n * SquaredError(mean_pred, accuracy);
+  for (const CalibrationPoint& point : CalibrationCurve(predicted, truth)) {
+    weighted += point.weight * SquaredError(point.predicted_mean,
+                                            point.empirical_accuracy);
   }
   return weighted / static_cast<double>(predicted.size());
 }
@@ -93,21 +81,23 @@ double AucPr(const std::vector<double>& predicted,
 std::vector<CalibrationPoint> CalibrationCurve(
     const std::vector<double>& predicted, const std::vector<uint8_t>& truth) {
   assert(predicted.size() == truth.size());
+  // One serial binning pass into plain per-bucket tallies; bucket b is
+  // obs::Histogram's bucket b over the same edges.
   const std::vector<double> edges = WDevBucketEdges();
-  obs::Histogram sums(edges);
-  obs::Histogram hits(edges);
-  obs::Histogram counts(edges);
+  std::vector<double> sums(edges.size(), 0.0);
+  std::vector<double> hits(edges.size(), 0.0);
+  std::vector<double> counts(edges.size(), 0.0);
   for (size_t i = 0; i < predicted.size(); ++i) {
-    sums.Add(predicted[i], predicted[i]);
-    hits.Add(predicted[i], truth[i] ? 1.0 : 0.0);
-    counts.Add(predicted[i], 1.0);
+    const size_t b = obs::BucketIndexFor(edges, predicted[i]);
+    sums[b] += predicted[i];
+    hits[b] += truth[i] ? 1.0 : 0.0;
+    counts[b] += 1.0;
   }
   std::vector<CalibrationPoint> out;
-  for (size_t b = 0; b < counts.num_buckets(); ++b) {
-    const double n = counts.bucket_count(b);
+  for (size_t b = 0; b < counts.size(); ++b) {
+    const double n = counts[b];
     if (n <= 0.0) continue;
-    out.push_back(CalibrationPoint{sums.bucket_count(b) / n,
-                                   hits.bucket_count(b) / n, n});
+    out.push_back(CalibrationPoint{sums[b] / n, hits[b] / n, n});
   }
   return out;
 }

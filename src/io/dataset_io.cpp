@@ -124,6 +124,31 @@ StatusOr<ParsedObservation> ParseObservationFields(const std::string& fields) {
   return parsed;
 }
 
+Status ValidateAppendedObservations(
+    const extract::RawDataset& dataset,
+    const std::vector<extract::RawObservation>& observations) {
+  for (size_t i = 0; i < observations.size(); ++i) {
+    const extract::RawObservation& obs = observations[i];
+    if (obs.extractor == kb::kInvalidId || obs.pattern == kb::kInvalidId ||
+        obs.website == kb::kInvalidId || obs.page == kb::kInvalidId ||
+        obs.value == kb::kInvalidId) {
+      return Status::InvalidArgument("appended observation " +
+                                     std::to_string(i) +
+                                     " carries an invalid id");
+    }
+    const kb::PredicateId predicate = kb::DataItemPredicate(obs.item);
+    if (predicate < dataset.num_false_by_predicate.size() &&
+        dataset.num_false_by_predicate[predicate] < 1) {
+      return Status::InvalidArgument(
+          "appended observation " + std::to_string(i) +
+          " references predicate " + std::to_string(predicate) +
+          " with non-positive domain size n = " +
+          std::to_string(dataset.num_false_by_predicate[predicate]));
+    }
+  }
+  return Status::OK();
+}
+
 Status ValidateRawDataset(const extract::RawDataset& dataset) {
   if (!dataset.observation_timestamps.empty()) {
     if (dataset.observation_timestamps.size() !=

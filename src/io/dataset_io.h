@@ -67,6 +67,14 @@ StatusOr<ParsedObservation> ParseObservationFields(const std::string& fields);
 /// indexes by these ids, so this is the precondition for the whole stack.
 Status ValidateRawDataset(const extract::RawDataset& dataset);
 
+/// Validation of a batch about to be appended to `dataset`: no id is
+/// kb::kInvalidId (ids past the meta counts are fine; appending grows
+/// them), and no observation lands on a predicate whose n is < 1.
+/// InvalidArgument names the first offending observation.
+Status ValidateAppendedObservations(
+    const extract::RawDataset& dataset,
+    const std::vector<extract::RawObservation>& observations);
+
 /// Stable 64-bit content fingerprint of a RawDataset: covers the meta
 /// counts, per-predicate domain sizes, true values and the observation
 /// sequence (ids, confidence bit patterns, provided flags). Equal content

@@ -142,7 +142,7 @@ void StageEdgeTerms(const float* conf, const uint32_t* group,
   }
 }
 
-double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
+double ItemValuePass(uint32_t slot_begin, uint32_t slot_end,
                      const double* votes, size_t votes_offset,
                      const uint8_t* covered_mask, const uint32_t* slot_values,
                      int num_false, double* slot_value_prob,
@@ -151,15 +151,8 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
   auto& values = scratch->values;
   auto& value_votes = scratch->value_votes;
   auto& log_terms = scratch->log_terms;
-  auto& slot_vi = scratch->slot_vi;
   values.clear();
   value_votes.clear();
-  // The vectorized kind remembers each slot's value index during the
-  // grouping scan so the write-back below can be a gather; the reference
-  // kind re-searches instead, keeping its program the verbatim pre-kernel
-  // model code.
-  const bool memo = kind == Kind::kVectorized;
-  if (memo) slot_vi.resize(slot_end - slot_begin);
   bool covered = false;
   for (uint32_t s = slot_begin; s < slot_end; ++s) {
     covered |= covered_mask[s] != 0;
@@ -172,7 +165,6 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
       values.push_back(v);
       value_votes.push_back(0.0);
     }
-    if (memo) slot_vi[s - slot_begin] = static_cast<uint32_t>(vi);
     value_votes[vi] += votes[s - votes_offset];
   }
 
@@ -187,26 +179,9 @@ double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
     *item_unobserved = unobserved > 0 ? std::exp(-log_z) : 0.0;
   }
 
+  // Re-search the value list and exp per slot: the naive, obviously-correct
+  // program the oracle is defined by.
   double delta = 0.0;
-  if (memo) {
-    // Vectorized write-back: exp once per DISTINCT value (in place over
-    // the vote accumulators), then gather per slot. Bit-identical to the
-    // reference — exp(value_votes[vi] - log_z) is the same expression on
-    // the same inputs — but the exp count drops from |slots| to |values|
-    // and the per-slot linear value re-search disappears.
-    for (size_t vi = 0; vi < value_votes.size(); ++vi) {
-      value_votes[vi] = std::exp(value_votes[vi] - log_z);
-    }
-    for (uint32_t s = slot_begin; s < slot_end; ++s) {
-      const double pv = value_votes[slot_vi[s - slot_begin]];
-      delta = std::max(delta, std::fabs(pv - slot_value_prob[s]));
-      slot_value_prob[s] = pv;
-      if (slot_covered != nullptr) slot_covered[s] = covered ? 1 : 0;
-    }
-    return delta;
-  }
-  // Reference write-back: re-search the value list and exp per slot — the
-  // naive, obviously-correct program the oracle is defined by.
   for (uint32_t s = slot_begin; s < slot_end; ++s) {
     const uint32_t v = slot_values[s];
     size_t vi = 0;
@@ -267,6 +242,9 @@ double ItemValuePassIndexed(uint32_t slot_begin, uint32_t slot_end,
     *item_unobserved = unobserved > 0 ? std::exp(-log_z) : 0.0;
   }
 
+  // exp once per DISTINCT value (in place over the vote accumulators), then
+  // gather per slot: exp(value_votes[vi] - log_z) is the reference's
+  // expression on the same inputs, so the posteriors are the same bits.
   for (size_t vi = 0; vi < value_votes.size(); ++vi) {
     value_votes[vi] = std::exp(value_votes[vi] - log_z);
   }

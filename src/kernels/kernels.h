@@ -15,8 +15,9 @@
 /// the per-source / per-extractor CSR index lists (M steps / Stage IV).
 /// Each staging and tally primitive has exactly one portable implementation,
 /// shared by both kernel kinds; the kinds differ only in the model-level
-/// loops that call them and in ItemValuePass. One contract pins the float
-/// program:
+/// loops that call them and in the item finisher each calls (ItemValuePass
+/// for the reference, ItemValuePassIndexed for the memoized program). One
+/// contract pins the float program:
 ///
 /// DETERMINISTIC REDUCTION CONTRACT. Every tally accumulates into
 /// kTallyLanes independent accumulators, element k landing in lane
@@ -78,7 +79,8 @@ Tally TallyEdges(const uint32_t* edges, size_t n, const float* conf,
 // ---------------------------------------------------------------------------
 
 /// out[i] = (mask[i] * weight[i]) * table[index[i]] for i in [begin, end).
-/// The E-step vote staging (multilayer Stage II, single-layer E step): mask
+/// The E-step vote staging (core::ValueLayer, which runs both the multilayer
+/// Stage II and the single-layer E step): mask
 /// is the 0/1 source-support stream (as doubles), weight the per-slot
 /// claim/correctness stream, table the per-source vote memo. out is indexed
 /// relative to begin (out[0] corresponds to element `begin`).
@@ -111,10 +113,6 @@ struct EmScratch {
   std::vector<uint32_t> values;
   std::vector<double> value_votes;
   std::vector<double> log_terms;
-  /// Per-slot index into `values`, recorded during the grouping scan so
-  /// the posterior write-back is a gather instead of a re-search, with the
-  /// normalized exp computed once per distinct value.
-  std::vector<uint32_t> slot_vi;
   /// Staged per-slot votes for the current block (vectorized kind) or the
   /// current item (scalar reference).
   std::vector<double> votes;
@@ -122,42 +120,34 @@ struct EmScratch {
   std::vector<double> edge_terms;
 };
 
-/// Groups one item's staged votes by distinct value, normalizes through
-/// LogSumExp over the observed values plus the unobserved-value mass
-/// (Eqs. 2/21), and writes the slot posteriors, the covered flags and the
-/// item's unobserved-value probability.
-///
-/// The grouping scan and the normalizer are shared between kinds; the
-/// write-back dispatches on `kind`. The reference kind keeps the naive
-/// program (linear value re-search + one exp per slot — the verbatim
-/// pre-kernel model code, written for obviousness, not speed). The
-/// vectorized kind records each slot's value index during the grouping
-/// scan, computes exp(value_votes[vi] - log_z) once per DISTINCT value and
-/// gathers per slot — the same expression on the same inputs, so the
-/// posteriors are bit-for-bit identical (enforced by the parity suite and
-/// the bench_table7 hard gate).
+/// The reference item finisher. Groups one item's staged votes by distinct
+/// value, normalizes through LogSumExp over the observed values plus the
+/// unobserved-value mass (Eqs. 2/21), and writes the slot posteriors, the
+/// covered flags and the item's unobserved-value probability. The program
+/// is the naive one (linear value search while grouping, then a re-search
+/// and one exp per slot on write-back), written for obviousness, not speed.
 ///
 /// `votes[s - votes_offset]` is the vote of slot s; `covered_mask[s]` is
 /// the per-slot coverage contribution (the item is covered when any of its
 /// slots contributes). `num_false` is the item's effective n. Returns the
 /// item's max |delta p| against the previous posteriors.
-double ItemValuePass(Kind kind, uint32_t slot_begin, uint32_t slot_end,
+double ItemValuePass(uint32_t slot_begin, uint32_t slot_end,
                      const double* votes, size_t votes_offset,
                      const uint8_t* covered_mask, const uint32_t* slot_values,
                      int num_false, double* slot_value_prob,
                      uint8_t* slot_covered, double* item_unobserved,
                      EmScratch* scratch);
 
-/// ItemValuePass with the value grouping precompiled: `slot_vi[s]` is slot
-/// s's index among its item's `num_values` distinct values (a pure function
-/// of the static slot_values layout, so it is hoisted out of the iteration
-/// loop and computed once per Run). The vote accumulation visits slots in
-/// the same ascending order as the scanning version, the normalizer is the
-/// same, and the write-back is the vectorized kind's gather — so the result
-/// is bit-for-bit identical to ItemValuePass on either kind (asserted by the
-/// parity suite). Used by the staged (vectorized) model paths only; the
-/// scalar reference keeps rediscovering the grouping per item, per
-/// iteration, as the naive program does.
+/// The memoized item finisher: ItemValuePass with the value grouping
+/// precompiled. `slot_vi[s]` is slot s's index among its item's
+/// `num_values` distinct values (a pure function of the static slot_values
+/// layout, built once per Run by BuildValueIndex). The vote accumulation
+/// visits slots in the same ascending order as the reference's grouping
+/// scan and the normalizer is the same; the write-back computes
+/// exp(value_votes[vi] - log_z) once per DISTINCT value and gathers it per
+/// slot, the same expression on the same inputs. So the result is bit for
+/// bit ItemValuePass's (asserted by the parity suite and the bench_table7
+/// hard gate). core::ValueLayer is its one model-level caller.
 double ItemValuePassIndexed(uint32_t slot_begin, uint32_t slot_end,
                             const double* votes, size_t votes_offset,
                             const uint8_t* covered_mask,

@@ -351,6 +351,47 @@ TEST(ShardedPipelineTest, BadAppendBatchIsRejectedWhole) {
   }
 }
 
+TEST(ShardedPipelineTest, NonPositiveDomainAppendBatchIsRejectedWhole) {
+  extract::RawDataset data = SyntheticCube(14);
+  // An unreferenced predicate with n = 0: Create accepts it (only
+  // referenced predicates need n >= 1), an append onto it must not.
+  const auto bad_predicate =
+      static_cast<kb::PredicateId>(data.num_false_by_predicate.size());
+  data.num_false_by_predicate.push_back(0);
+  ShardOptions shard_options;
+  shard_options.num_shards = 4;
+  auto sharded =
+      ShardedPipeline::Create(data, ServingOptions(), shard_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  std::vector<size_t> before(4);
+  for (uint32_t s = 0; s < 4; ++s) {
+    before[s] = sharded->shard(s).dataset().size();
+  }
+  // One valid observation, then one landing on the n = 0 predicate from a
+  // website another shard owns, so that shard-local validation alone would
+  // have applied the valid slice.
+  auto delta = DeltaBatch(data, 1);
+  const uint32_t valid_shard = query::ShardOfWebsite(delta[0].website, 4, 0);
+  extract::RawObservation bad = delta[0];
+  for (const extract::RawObservation& obs : data.observations) {
+    if (query::ShardOfWebsite(obs.website, 4, 0) != valid_shard) {
+      bad = obs;
+      break;
+    }
+  }
+  ASSERT_NE(query::ShardOfWebsite(bad.website, 4, 0), valid_shard);
+  bad.item = kb::MakeDataItem(0, bad_predicate);
+  delta.push_back(bad);
+  const Status status = sharded->AppendObservations(delta);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  for (uint32_t s = 0; s < 4; ++s) {
+    const extract::RawDataset& shard = sharded->shard(s).dataset();
+    EXPECT_EQ(shard.size(), before[s]) << s;
+    EXPECT_EQ(shard.num_false_by_predicate, data.num_false_by_predicate) << s;
+  }
+}
+
 TEST(ShardedPipelineTest, DiskCacheUsesPerShardNamespaces) {
   const std::string root =
       (std::filesystem::temp_directory_path() / "kbt_shard_cache_test")

@@ -114,8 +114,8 @@ TEST(KernelEdgesTest, VotesAtClampBoundariesStayFinite) {
   std::vector<uint8_t> cov(table.size(), 0);
   double unobserved = -1.0;
   EmScratch scratch;
-  ItemValuePass(Kind::kScalarReference, 0, uint32_t(table.size()),
-                out_s.data(), 0, mask.data(), values.data(),
+  ItemValuePass(0, uint32_t(table.size()), out_s.data(), 0, mask.data(),
+                values.data(),
                 /*num_false=*/10, prob.data(), cov.data(), &unobserved,
                 &scratch);
   double total = unobserved * 10.0;  // 10 - 1 observed... upper bound check
@@ -228,7 +228,7 @@ TEST(KernelEdgesTest, EmScratchReuseAcrossManyItemsIsStable) {
   std::mt19937_64 rng(31337);
   std::uniform_real_distribution<double> uni(0.0, 1.0);
   const size_t num_items = 64;
-  EmScratch shared_scalar, shared_vector;
+  EmScratch shared_ref, shared_indexed, vi_scratch;
   for (size_t item = 0; item < num_items; ++item) {
     const uint32_t num_slots = 1 + uint32_t(rng() % 9);
     std::vector<double> votes(num_slots);
@@ -239,36 +239,42 @@ TEST(KernelEdgesTest, EmScratchReuseAcrossManyItemsIsStable) {
       values[s] = uint32_t(rng() % 4);  // few distinct values, repeats
       mask[s] = rng() % 2 ? 1 : 0;
     }
-    // Fresh-scratch reference write-back is the baseline; each kind
+    // Fresh-scratch reference finisher is the baseline; each finisher
     // through its own chunk-shared scratch must match it bit for bit.
     std::vector<double> prob_fresh(num_slots, 0.0);
     std::vector<uint8_t> cov_fresh(num_slots, 0);
     double un_fresh = 0.0;
     EmScratch fresh;
     const double d_fresh = ItemValuePass(
-        Kind::kScalarReference, 0, num_slots, votes.data(), 0, mask.data(),
-        values.data(),
+        0, num_slots, votes.data(), 0, mask.data(), values.data(),
         /*num_false=*/10, prob_fresh.data(), cov_fresh.data(), &un_fresh,
         &fresh);
-    for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
-      EmScratch& shared =
-          kind == Kind::kVectorized ? shared_vector : shared_scalar;
+    std::vector<uint32_t> slot_vi(num_slots);
+    const uint32_t num_values = BuildValueIndex(0, num_slots, values.data(),
+                                                slot_vi.data(), &vi_scratch);
+    for (bool indexed : {false, true}) {
       std::vector<double> prob_shared(num_slots, 0.0);
       std::vector<uint8_t> cov_shared(num_slots, 0);
       double un_shared = 0.0;
-      const double d_shared = ItemValuePass(
-          kind, 0, num_slots, votes.data(), 0, mask.data(), values.data(),
-          /*num_false=*/10, prob_shared.data(), cov_shared.data(),
-          &un_shared, &shared);
+      const double d_shared =
+          indexed ? ItemValuePassIndexed(
+                        0, num_slots, votes.data(), 0, mask.data(),
+                        slot_vi.data(), num_values, /*num_false=*/10,
+                        prob_shared.data(), cov_shared.data(), &un_shared,
+                        &shared_indexed)
+                  : ItemValuePass(0, num_slots, votes.data(), 0, mask.data(),
+                                  values.data(),
+                                  /*num_false=*/10, prob_shared.data(),
+                                  cov_shared.data(), &un_shared, &shared_ref);
       ASSERT_EQ(Bits(d_shared), Bits(d_fresh))
-          << "item " << item << " kind " << KindName(kind);
+          << "item " << item << " indexed " << indexed;
       ASSERT_EQ(Bits(un_shared), Bits(un_fresh))
-          << "item " << item << " kind " << KindName(kind);
+          << "item " << item << " indexed " << indexed;
       ASSERT_EQ(cov_shared, cov_fresh)
-          << "item " << item << " kind " << KindName(kind);
+          << "item " << item << " indexed " << indexed;
       for (uint32_t s = 0; s < num_slots; ++s) {
         ASSERT_EQ(Bits(prob_shared[s]), Bits(prob_fresh[s]))
-            << "item " << item << " slot " << s << " kind " << KindName(kind);
+            << "item " << item << " slot " << s << " indexed " << indexed;
       }
     }
   }

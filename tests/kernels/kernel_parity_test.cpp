@@ -238,6 +238,21 @@ TEST(KernelParityTest, StagingHonorsNonZeroBegin) {
 // ItemValuePass on adversarial item shapes
 // ---------------------------------------------------------------------------
 
+/// Runs ItemValuePassIndexed over one item, building its value index the
+/// way ValueLayer does (BuildValueIndex once, into a separate scratch).
+double IndexedPass(uint32_t num_slots, const double* votes,
+                   const uint8_t* mask, const uint32_t* values, int num_false,
+                   double* prob, uint8_t* cov, double* unobserved,
+                   EmScratch* scratch) {
+  std::vector<uint32_t> slot_vi(num_slots, 999);
+  EmScratch vi_scratch;
+  const uint32_t num_values =
+      BuildValueIndex(0, num_slots, values, slot_vi.data(), &vi_scratch);
+  return ItemValuePassIndexed(0, num_slots, votes, 0, mask, slot_vi.data(),
+                              num_values, num_false, prob, cov, unobserved,
+                              scratch);
+}
+
 TEST(KernelParityTest, ItemValuePassSingleValueAndAllFalseItems) {
   // Items whose slots all claim ONE value, and items whose slots are all
   // unsupported (covered_mask zero), at votes near the clamp bounds.
@@ -245,20 +260,19 @@ TEST(KernelParityTest, ItemValuePassSingleValueAndAllFalseItems) {
   const std::vector<uint32_t> values = {5, 5, 5};  // single-value item
   for (uint8_t mask_value : {uint8_t{1}, uint8_t{0}}) {
     const std::vector<uint8_t> mask(3, mask_value);
-    // Reference write-back with a clean scratch is the baseline; both
-    // kinds, clean or dirty scratch, must reproduce it bit for bit.
+    // The reference finisher with a clean scratch is the baseline; both
+    // finishers through a dirty scratch must reproduce it bit for bit.
     std::vector<double> prob_ref(3, 0.0);
     std::vector<uint8_t> cov_ref(3, 2);
     double un_ref = -1.0;
     EmScratch scratch_ref;
     const double delta_ref =
-        ItemValuePass(Kind::kScalarReference, 0, 3, votes.data(), 0,
-                      mask.data(), values.data(),
+        ItemValuePass(0, 3, votes.data(), 0, mask.data(), values.data(),
                       /*num_false=*/10, prob_ref.data(), cov_ref.data(),
                       &un_ref, &scratch_ref);
-    for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
+    for (bool indexed : {false, true}) {
       SCOPED_TRACE(::testing::Message()
-                   << "mask=" << int(mask_value) << " kind=" << KindName(kind));
+                   << "mask=" << int(mask_value) << " indexed=" << indexed);
       // A pass through a DIRTY scratch (simulating buffer reuse across
       // items in one chunk) must not change anything.
       std::vector<double> prob_b(3, 0.0);
@@ -268,12 +282,14 @@ TEST(KernelParityTest, ItemValuePassSingleValueAndAllFalseItems) {
       scratch_b.values.assign(100, 9);
       scratch_b.value_votes.assign(100, 3.25);
       scratch_b.log_terms.assign(100, -8.5);
-      scratch_b.slot_vi.assign(100, 77);
       const double delta_b =
-          ItemValuePass(kind, 0, 3, votes.data(), 0, mask.data(),
-                        values.data(),
-                        /*num_false=*/10, prob_b.data(), cov_b.data(), &un_b,
-                        &scratch_b);
+          indexed ? IndexedPass(3, votes.data(), mask.data(), values.data(),
+                                /*num_false=*/10, prob_b.data(), cov_b.data(),
+                                &un_b, &scratch_b)
+                  : ItemValuePass(0, 3, votes.data(), 0, mask.data(),
+                                  values.data(),
+                                  /*num_false=*/10, prob_b.data(),
+                                  cov_b.data(), &un_b, &scratch_b);
       EXPECT_BITS_EQ(delta_ref, delta_b);
       EXPECT_BITS_EQ(un_ref, un_b);
       ExpectVectorBitsEq(prob_ref, prob_b, "slot_value_prob");
@@ -298,15 +314,21 @@ TEST(KernelParityTest, ItemValuePassNoUnobservedMassWhenDomainIsFull) {
   const std::vector<double> votes = {1.0, -2.0, 0.5};
   const std::vector<uint32_t> values = {1, 2, 3};
   const std::vector<uint8_t> mask = {1, 1, 1};
-  for (Kind kind : {Kind::kScalarReference, Kind::kVectorized}) {
-    SCOPED_TRACE(::testing::Message() << "kind=" << KindName(kind));
+  for (bool indexed : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "indexed=" << indexed);
     std::vector<double> prob(3, 0.0);
     std::vector<uint8_t> cov(3, 0);
     double unobserved = -1.0;
     EmScratch scratch;
-    ItemValuePass(kind, 0, 3, votes.data(), 0, mask.data(), values.data(),
+    if (indexed) {
+      IndexedPass(3, votes.data(), mask.data(), values.data(),
                   /*num_false=*/2, prob.data(), cov.data(), &unobserved,
                   &scratch);
+    } else {
+      ItemValuePass(0, 3, votes.data(), 0, mask.data(), values.data(),
+                    /*num_false=*/2, prob.data(), cov.data(), &unobserved,
+                    &scratch);
+    }
     EXPECT_BITS_EQ(unobserved, 0.0);
     double total = prob[0] + prob[1] + prob[2];
     EXPECT_NEAR(total, 1.0, 1e-12);
@@ -314,8 +336,8 @@ TEST(KernelParityTest, ItemValuePassNoUnobservedMassWhenDomainIsFull) {
 }
 
 TEST(KernelParityTest, ItemValuePassIndexedMatchesReferenceBitForBit) {
-  // The staged paths hoist the value grouping out of the iteration loop
-  // (BuildValueIndex once per Run) and finish items through
+  // ValueLayer hoists the value grouping out of the iteration loop
+  // (BuildValueIndex once per Run) and finishes items through
   // ItemValuePassIndexed. Per-item, that must be bit-identical to the
   // reference scanning ItemValuePass on adversarial vote streams.
   std::mt19937_64 rng(424242);
@@ -341,9 +363,8 @@ TEST(KernelParityTest, ItemValuePassIndexedMatchesReferenceBitForBit) {
     double un_ref = -1.0, un_idx = -1.0;
     EmScratch scratch_ref, scratch_idx, vi_scratch;
     const double d_ref = ItemValuePass(
-        Kind::kScalarReference, 0, num_slots, votes.data(), 0, mask.data(),
-        values.data(), num_false, prob_ref.data(), cov_ref.data(), &un_ref,
-        &scratch_ref);
+        0, num_slots, votes.data(), 0, mask.data(), values.data(), num_false,
+        prob_ref.data(), cov_ref.data(), &un_ref, &scratch_ref);
 
     std::vector<uint32_t> slot_vi(num_slots, 999);
     const uint32_t num_values = BuildValueIndex(0, num_slots, values.data(),
@@ -410,30 +431,56 @@ void ExpectMultiLayerBitsEq(const core::MultiLayerResult& a,
   EXPECT_EQ(a.converged, b.converged);
 }
 
-TEST(KernelParityTest, SingleLayerModelMatchesAcrossEstimatorVariants) {
-  const exp::SyntheticData syn = exp::GenerateSynthetic(exp::SyntheticConfig{});
-  const extract::CompiledMatrix matrix =
-      BuildMatrix(syn.data, /*provenance=*/true);
-  for (core::ValueModel vm :
-       {core::ValueModel::kAccu, core::ValueModel::kPopAccu}) {
-    for (int n_override : {100, -1}) {
-      for (bool confidence_weights : {true, false}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "value_model=" << int(vm) << " n=" << n_override
-                     << " conf_weights=" << confidence_weights);
-        fusion::SingleLayerConfig config;
-        config.min_source_support = 1;
-        config.value_model = vm;
-        config.num_false_override = n_override;
-        config.use_confidence_weights = confidence_weights;
+/// The model-level cubes: the uniform synthetic cube under a fixed n and
+/// the schema n, plus a cube whose per-predicate domain sizes differ, run
+/// under the schema n only (no single n serves every item there).
+struct ParityCube {
+  const char* name;
+  extract::RawDataset data;
+  std::vector<int> n_overrides;
+};
 
-        config.kernel = Kind::kScalarReference;
-        auto scalar = fusion::SingleLayerModel::Run(matrix, config);
-        ASSERT_TRUE(scalar.ok());
-        config.kernel = Kind::kVectorized;
-        auto vectorized = fusion::SingleLayerModel::Run(matrix, config);
-        ASSERT_TRUE(vectorized.ok());
-        ExpectSingleLayerBitsEq(*scalar, *vectorized);
+std::vector<ParityCube> ParityCubes(int fixed_n) {
+  std::vector<ParityCube> cubes;
+  cubes.push_back(ParityCube{
+      "uniform", exp::GenerateSynthetic(exp::SyntheticConfig{}).data,
+      {fixed_n, -1}});
+  extract::RawDataset varied =
+      exp::GenerateSynthetic(exp::SyntheticConfig{}).data;
+  // One n per predicate of the default config's five: below, at and above
+  // the generated domain (10), including n = 1 where items observe more
+  // values than the domain holds.
+  varied.num_false_by_predicate = {10, 3, 25, 1, 60};
+  cubes.push_back(ParityCube{"varied_n_by_predicate", std::move(varied), {-1}});
+  return cubes;
+}
+
+TEST(KernelParityTest, SingleLayerModelMatchesAcrossEstimatorVariants) {
+  for (const ParityCube& cube : ParityCubes(/*fixed_n=*/100)) {
+    const extract::CompiledMatrix matrix =
+        BuildMatrix(cube.data, /*provenance=*/true);
+    for (core::ValueModel vm :
+         {core::ValueModel::kAccu, core::ValueModel::kPopAccu}) {
+      for (int n_override : cube.n_overrides) {
+        for (bool confidence_weights : {true, false}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "cube=" << cube.name << " value_model=" << int(vm)
+                       << " n=" << n_override
+                       << " conf_weights=" << confidence_weights);
+          fusion::SingleLayerConfig config;
+          config.min_source_support = 1;
+          config.value_model = vm;
+          config.num_false_override = n_override;
+          config.use_confidence_weights = confidence_weights;
+
+          config.kernel = Kind::kScalarReference;
+          auto scalar = fusion::SingleLayerModel::Run(matrix, config);
+          ASSERT_TRUE(scalar.ok());
+          config.kernel = Kind::kVectorized;
+          auto vectorized = fusion::SingleLayerModel::Run(matrix, config);
+          ASSERT_TRUE(vectorized.ok());
+          ExpectSingleLayerBitsEq(*scalar, *vectorized);
+        }
       }
     }
   }
@@ -462,32 +509,34 @@ TEST(KernelParityTest, SingleLayerModelMatchesAtExtremeInitialAccuracies) {
 }
 
 TEST(KernelParityTest, MultiLayerModelMatchesAcrossEstimatorVariants) {
-  const exp::SyntheticData syn = exp::GenerateSynthetic(exp::SyntheticConfig{});
-  const extract::CompiledMatrix matrix =
-      BuildMatrix(syn.data, /*provenance=*/false);
-  for (bool weighted : {true, false}) {
-    for (bool calibrate : {true, false}) {
-      for (core::ValueModel vm :
-           {core::ValueModel::kAccu, core::ValueModel::kPopAccu}) {
-        for (int n_override : {10, -1}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "weighted=" << weighted << " calibrate=" << calibrate
-                       << " value_model=" << int(vm) << " n=" << n_override);
-          core::MultiLayerConfig config;
-          config.min_source_support = 1;
-          config.min_extractor_support = 1;
-          config.weighted_value_votes = weighted;
-          config.calibrate_correctness = calibrate;
-          config.value_model = vm;
-          config.num_false_override = n_override;
+  for (const ParityCube& cube : ParityCubes(/*fixed_n=*/10)) {
+    const extract::CompiledMatrix matrix =
+        BuildMatrix(cube.data, /*provenance=*/false);
+    for (bool weighted : {true, false}) {
+      for (bool calibrate : {true, false}) {
+        for (core::ValueModel vm :
+             {core::ValueModel::kAccu, core::ValueModel::kPopAccu}) {
+          for (int n_override : cube.n_overrides) {
+            SCOPED_TRACE(::testing::Message()
+                         << "cube=" << cube.name << " weighted=" << weighted
+                         << " calibrate=" << calibrate
+                         << " value_model=" << int(vm) << " n=" << n_override);
+            core::MultiLayerConfig config;
+            config.min_source_support = 1;
+            config.min_extractor_support = 1;
+            config.weighted_value_votes = weighted;
+            config.calibrate_correctness = calibrate;
+            config.value_model = vm;
+            config.num_false_override = n_override;
 
-          config.kernel = Kind::kScalarReference;
-          auto scalar = core::MultiLayerModel::Run(matrix, config);
-          ASSERT_TRUE(scalar.ok());
-          config.kernel = Kind::kVectorized;
-          auto vectorized = core::MultiLayerModel::Run(matrix, config);
-          ASSERT_TRUE(vectorized.ok());
-          ExpectMultiLayerBitsEq(*scalar, *vectorized);
+            config.kernel = Kind::kScalarReference;
+            auto scalar = core::MultiLayerModel::Run(matrix, config);
+            ASSERT_TRUE(scalar.ok());
+            config.kernel = Kind::kVectorized;
+            auto vectorized = core::MultiLayerModel::Run(matrix, config);
+            ASSERT_TRUE(vectorized.ok());
+            ExpectMultiLayerBitsEq(*scalar, *vectorized);
+          }
         }
       }
     }
