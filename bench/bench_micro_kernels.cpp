@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the inference kernels: vote
 // computation, sigmoid/log-sum-exp, the SoA EM kernels (src/kernels/) with
-// bytes-processed GB/s, matrix compilation, one EM
-// iteration, and a PageRank sweep. These are the building blocks whose
-// cost the Table 7 stage timings aggregate.
+// bytes-processed GB/s, the Stage I intercept solve, matrix compilation,
+// one EM iteration, and a PageRank sweep. These are the building blocks
+// whose cost the Table 7 stage timings aggregate.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/math.h"
+#include "core/calibration.h"
 #include "corpus/link_graph.h"
 #include "exp/synthetic.h"
 #include "extract/observation_matrix.h"
@@ -156,6 +157,46 @@ void BM_StageEdgeTerms(benchmark::State& state) {
                           static_cast<int64_t>(n) * (4 + 4 + 8 + 8));
 }
 BENCHMARK(BM_StageEdgeTerms)->Arg(4096)->Arg(262144);
+
+// ---- Stage I intercept solve on the table7 cube's slot count: the
+// literal 60-step bisection (Arg 0) against the bracket-and-replay solve
+// warm-started cold at 0 (Arg 1) and at the previous iteration's tau, the
+// logits having moved by a small shift (Arg 2). Both return the same tau
+// bits; `sweeps` counts full passes over the logits per solve.
+
+void BM_CalibrateIntercept(benchmark::State& state) {
+  constexpr size_t kSlots = 502353;
+  constexpr double kTarget = 0.4;
+  static const std::vector<double> logits = [] {
+    std::mt19937_64 rng(3);
+    std::normal_distribution<double> normal(-1.5, 2.5);
+    std::vector<double> x(kSlots);
+    for (double& v : x) v = normal(rng);
+    return x;
+  }();
+  static const double previous_tau = [] {
+    std::vector<double> moved = logits;
+    for (double& v : moved) v += 0.05;
+    return core::SolveIntercept(nullptr, moved, kTarget, 0.0).tau;
+  }();
+  const int mode = static_cast<int>(state.range(0));
+  int64_t sweeps = 0;
+  for (auto _ : state) {
+    const core::InterceptSolve solve =
+        mode == 0 ? core::SolveInterceptLiteral(nullptr, logits, kTarget)
+                  : core::SolveIntercept(nullptr, logits, kTarget,
+                                         mode == 1 ? 0.0 : previous_tau);
+    benchmark::DoNotOptimize(solve.tau);
+    sweeps += solve.sweeps;
+  }
+  state.counters["sweeps"] = benchmark::Counter(
+      static_cast<double>(sweeps), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_CalibrateIntercept)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 exp::SyntheticData& SharedSynthetic() {
   static exp::SyntheticData data = [] {

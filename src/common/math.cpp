@@ -12,13 +12,11 @@ double ClampProbability(double p) {
 double Clamp(double x, double lo, double hi) { return std::clamp(x, lo, hi); }
 
 double Sigmoid(double x) {
-  // Split on the sign so that exp() never overflows.
-  if (x >= 0) {
-    const double z = std::exp(-x);
-    return 1.0 / (1.0 + z);
-  }
-  const double z = std::exp(x);
-  return z / (1.0 + z);
+  // Branch-free on purpose: exp(-x) overflowing to +inf below x ~ -709
+  // yields exactly 0, and every step (exp, +1, reciprocal) is monotone, so
+  // Sigmoid is monotone over adjacent doubles. The split form z/(1+z) for
+  // x < 0 is not, and Stage I's calibration replay relies on it.
+  return 1.0 / (1.0 + std::exp(-x));
 }
 
 double Logit(double p) {

@@ -20,7 +20,9 @@ double ClampProbability(double p);
 /// Clamps `x` into [lo, hi].
 double Clamp(double x, double lo, double hi);
 
-/// Numerically-stable logistic sigmoid, sigma(x) = 1 / (1 + exp(-x)).
+/// Logistic sigmoid, sigma(x) = 1 / (1 + exp(-x)), evaluated in exactly
+/// that form: never NaN for a non-NaN x, and non-decreasing over adjacent
+/// doubles (the property core/calibration relies on).
 double Sigmoid(double x);
 
 /// Inverse sigmoid; input is clamped away from {0,1}.

@@ -87,6 +87,13 @@ struct MultiLayerConfig {
   /// bistable and drift toward all-provided or all-noise fixed points on
   /// sparse cubes. Disabled by the worked-example tests, which check the
   /// raw one-iteration posteriors of Tables 3-4.
+  ///
+  /// tau is defined by a fixed program (core/calibration.h): 60 bisection
+  /// steps over [-30, 30] on the blocked-sum mean. The scalar reference
+  /// runs it literally; the vectorized kind brackets tau with Newton
+  /// sweeps warm-started at the previous iteration's tau and replays the
+  /// 60 steps, sweeping only midpoints the bracket cannot decide. Both
+  /// give the same bits on every thread count.
   bool calibrate_correctness = true;
   /// Target mean of p(C|X) across observed slots: roughly the fraction of
   /// extracted (w,d,v) slots that the page really provides.

@@ -8,6 +8,7 @@
 
 #include "common/math.h"
 #include "common/mutex.h"
+#include "core/calibration.h"
 #include "core/value_layer.h"
 #include "kernels/kernels.h"
 
@@ -23,13 +24,10 @@ uint64_t PackPredSite(uint32_t pred, uint32_t site) {
   return (static_cast<uint64_t>(pred) << 32) | site;
 }
 
-/// Per-scope additive totals. Two uses per iteration:
-///  * absence universe: each extractor group deposits its weighted absence
-///    vote into the bucket matching its scope; a slot's total absence
-///    evidence is the SUM over all four bucket levels covering it;
-///  * recall denominators: each slot deposits p(C=1|X) into its exact
-///    (predicate, website) bucket plus the coarser levels; a group reads the
-///    ONE bucket matching its scope.
+/// Per-scope additive totals of the absence universe: each extractor group
+/// deposits its weighted absence vote into the bucket matching its scope;
+/// a slot's total absence evidence is the SUM over all four bucket levels
+/// covering it.
 class ScopeTable {
  public:
   void Clear() {
@@ -54,14 +52,6 @@ class ScopeTable {
     }
   }
 
-  /// Deposits `v` into every level covering (pred, site) (slot-side use).
-  void AddForSlot(uint32_t pred, uint32_t site, double v) {
-    global_ += v;
-    by_pred_[pred] += v;
-    by_site_[site] += v;
-    by_pred_site_[PackPredSite(pred, site)] += v;
-  }
-
   /// Total over all buckets covering a slot at (pred, site).
   double SumCovering(uint32_t pred, uint32_t site) const {
     double total = global_;
@@ -78,29 +68,81 @@ class ScopeTable {
     return total;
   }
 
-  /// Value of the single bucket matching `scope`.
-  double AtScope(const ExtractorScope& scope) const {
-    const bool any_pred = scope.predicate == kAnyScope;
-    const bool any_site = scope.website == kAnyScope;
-    if (any_pred && any_site) return global_;
-    if (!any_pred && any_site) {
-      const auto it = by_pred_.find(scope.predicate);
-      return it == by_pred_.end() ? 0.0 : it->second;
-    }
-    if (any_pred && !any_site) {
-      const auto it = by_site_.find(scope.website);
-      return it == by_site_.end() ? 0.0 : it->second;
-    }
-    const auto it =
-        by_pred_site_.find(PackPredSite(scope.predicate, scope.website));
-    return it == by_pred_site_.end() ? 0.0 : it->second;
-  }
-
  private:
   double global_ = 0.0;
   std::unordered_map<uint32_t, double> by_pred_;
   std::unordered_map<uint32_t, double> by_site_;
   std::unordered_map<uint64_t, double> by_pred_site_;
+};
+
+/// Per-scope mass of p(C=1|X) over slots, the recall denominator of
+/// Eq. 33: each slot deposits into the global bucket, its predicate's, its
+/// website's and its (predicate, website) pair's; a group reads the ONE
+/// bucket matching its scope. Held densely, one accumulator per bucket in
+/// a flat array indexed by predicate, website and pair id, so a slot costs
+/// four indexed adds, not four hash lookups. Every accumulator still adds
+/// its slots' values in slot order, so each total keeps its bits.
+class SlotMass {
+ public:
+  /// `slot_pair[s]` is slot s's pair id; `pair_ids` maps each packed
+  /// (predicate, website) to its pair id.
+  SlotMass(const CompiledMatrix& matrix, const std::vector<uint32_t>& slot_pair,
+           const std::unordered_map<uint64_t, uint32_t>& pair_ids)
+      : matrix_(matrix), slot_pair_(slot_pair) {
+    uint32_t num_preds = 0;
+    uint32_t num_sites = 0;
+    for (size_t s = 0; s < matrix.num_slots(); ++s) {
+      num_preds = std::max(num_preds, matrix.slot_predicate(s) + 1);
+      num_sites = std::max(num_sites, matrix.slot_website(s) + 1);
+    }
+    site_base_ = 1 + num_preds;
+    pair_base_ = site_base_ + num_sites;
+    // One bucket past the pairs stays 0: the scopes no slot falls in.
+    const size_t empty = pair_base_ + pair_ids.size();
+    mass_.assign(empty + 1, 0.0);
+    group_bucket_.resize(matrix.num_extractor_groups());
+    for (uint32_t g = 0; g < matrix.num_extractor_groups(); ++g) {
+      const ExtractorScope& scope = matrix.extractor_scope(g);
+      const bool any_pred = scope.predicate == kAnyScope;
+      const bool any_site = scope.website == kAnyScope;
+      size_t bucket = empty;
+      if (any_pred && any_site) {
+        bucket = 0;
+      } else if (any_site) {
+        if (scope.predicate < num_preds) bucket = 1 + scope.predicate;
+      } else if (any_pred) {
+        if (scope.website < num_sites) bucket = site_base_ + scope.website;
+      } else if (const auto it = pair_ids.find(
+                     PackPredSite(scope.predicate, scope.website));
+                 it != pair_ids.end()) {
+        bucket = pair_base_ + it->second;
+      }
+      group_bucket_[g] = bucket;
+    }
+  }
+
+  /// Re-accumulates every bucket from the per-slot p(C=1|X).
+  void Accumulate(const std::vector<double>& correct_prob) {
+    std::fill(mass_.begin(), mass_.end(), 0.0);
+    for (size_t s = 0; s < correct_prob.size(); ++s) {
+      const double v = correct_prob[s];
+      mass_[0] += v;
+      mass_[1 + matrix_.slot_predicate(s)] += v;
+      mass_[site_base_ + matrix_.slot_website(s)] += v;
+      mass_[pair_base_ + slot_pair_[s]] += v;
+    }
+  }
+
+  /// The mass of the bucket matching group `g`'s scope.
+  double ForGroup(uint32_t g) const { return mass_[group_bucket_[g]]; }
+
+ private:
+  const CompiledMatrix& matrix_;
+  const std::vector<uint32_t>& slot_pair_;
+  size_t site_base_ = 0;
+  size_t pair_base_ = 0;
+  std::vector<double> mass_;
+  std::vector<size_t> group_bucket_;
 };
 
 }  // namespace
@@ -267,7 +309,6 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
   std::vector<ExtractorVotes> votes(num_groups);
   std::vector<double> slot_logodds(num_slots, 0.0);
   ScopeTable absence_universe;
-  ScopeTable slot_mass;
 
   // Per-group net Stage I vote, presence - weighted absence: the staged
   // path's memo of the difference the scalar reference recomputes per edge
@@ -305,32 +346,32 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     if (!config.weighted_value_votes) wc_stream.resize(num_slots, 0.0);
   }
 
-  // Stage I memo of the per-(predicate, website) absence total: slots
-  // sharing a scope pair share one SumCovering lookup. Pair ids are
-  // assigned in slot order (deterministic).
-  std::vector<uint32_t> slot_pair;
+  // Per-slot (predicate, website) pair ids, assigned in slot order
+  // (deterministic). They key the dense p(C=1) mass, and the vectorized
+  // kind's Stage I memo of the per-pair absence total: slots sharing a
+  // scope pair share one SumCovering lookup.
+  std::vector<uint32_t> slot_pair(num_slots);
   std::vector<uint32_t> pair_pred;
   std::vector<uint32_t> pair_site;
-  std::vector<double> pair_absence;
-  if (vectorized) {
-    slot_pair.resize(num_slots);
-    std::unordered_map<uint64_t, uint32_t> pair_ids;
-    for (size_t s = 0; s < num_slots; ++s) {
-      const uint32_t pred = matrix.slot_predicate(s);
-      const uint32_t site = matrix.slot_website(s);
-      const auto [it, inserted] = pair_ids.emplace(
-          PackPredSite(pred, site), static_cast<uint32_t>(pair_pred.size()));
-      if (inserted) {
-        pair_pred.push_back(pred);
-        pair_site.push_back(site);
-      }
-      slot_pair[s] = it->second;
+  std::unordered_map<uint64_t, uint32_t> pair_ids;
+  for (size_t s = 0; s < num_slots; ++s) {
+    const uint32_t pred = matrix.slot_predicate(s);
+    const uint32_t site = matrix.slot_website(s);
+    const auto [it, inserted] = pair_ids.emplace(
+        PackPredSite(pred, site), static_cast<uint32_t>(pair_pred.size()));
+    if (inserted) {
+      pair_pred.push_back(pred);
+      pair_site.push_back(site);
     }
-    pair_absence.resize(pair_pred.size(), 0.0);
+    slot_pair[s] = it->second;
   }
+  std::vector<double> pair_absence(vectorized ? pair_pred.size() : 0, 0.0);
+  SlotMass slot_mass(matrix, slot_pair, pair_ids);
 
-  std::vector<double> delta_per_chunk;  // Convergence tracking.
   Mutex delta_mutex;
+  // Stage I intercept; 0 unless calibrating. The vectorized kind's solve
+  // warm-starts from the previous iteration's value.
+  double tau = 0.0;
 
   for (int iteration = 1; iteration <= config.max_iterations; ++iteration) {
     double max_delta = 0.0;
@@ -396,35 +437,18 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
       }
 
       // Shared intercept: mean p(C|X) is pinned to the expected provided
-      // fraction (see multilayer_config.h). Bisection on a monotone mean;
-      // the sigmoid sweep runs through the deterministic chunked reduction,
-      // so tau is bit-identical for every thread count (and both kernel
-      // kinds share this code).
-      double tau = 0.0;
+      // fraction (see multilayer_config.h and core/calibration.h). The
+      // reference kind runs the literal bisection; the vectorized kind
+      // replays it from a bracket found by Newton sweeps warm-started at
+      // the previous iteration's tau, and lands on the same bits. Every
+      // sweep runs through the deterministic blocked reduction, so tau is
+      // bit-identical for every thread count.
       if (config.calibrate_correctness && num_slots > 0) {
         const double target = Clamp(config.expected_provided_fraction,
                                     0.01, 0.99);
-        double lo = -30.0;
-        double hi = 30.0;
-        for (int step = 0; step < 60; ++step) {
-          tau = 0.5 * (lo + hi);
-          const double mean =
-              dataflow::BlockedSum(
-                  executor, num_slots,
-                  [&](size_t begin, size_t end) {
-                    double m = 0.0;
-                    for (size_t s = begin; s < end; ++s) {
-                      m += Sigmoid(slot_logodds[s] + tau);
-                    }
-                    return m;
-                  }) /
-              static_cast<double>(num_slots);
-          if (mean < target) {
-            lo = tau;
-          } else {
-            hi = tau;
-          }
-        }
+        tau = vectorized
+                  ? SolveIntercept(executor, slot_logodds, target, tau).tau
+                  : SolveInterceptLiteral(executor, slot_logodds, target).tau;
       }
 
       dataflow::ForRange(executor, num_slots, [&](size_t begin, size_t end) {
@@ -440,11 +464,7 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
     }
 
     // Per-scope mass of p(C=1), the recall denominator of Eq. 33.
-    slot_mass.Clear();
-    for (size_t s = 0; s < num_slots; ++s) {
-      slot_mass.AddForSlot(matrix.slot_predicate(s), matrix.slot_website(s),
-                           r.slot_correct_prob[s]);
-    }
+    slot_mass.Accumulate(r.slot_correct_prob);
 
     // ============ Stage II: triple truth p(V_d|X), Eqs. 21/25 ============
     {
@@ -555,7 +575,8 @@ StatusOr<MultiLayerResult> MultiLayerModel::Run(
         const double sum_conf = tally.den;
         const ExtractorScope& scope =
             matrix.extractor_scope(static_cast<uint32_t>(g));
-        const double denom_r = slot_mass.AtScope(scope) * scope.absence_weight;
+        const double denom_r = slot_mass.ForGroup(static_cast<uint32_t>(g)) *
+                               scope.absence_weight;
         if (sum_conf > 1e-12) {
           r.extractor_precision[g] = clampP(sum_joint / sum_conf);
         }

@@ -97,21 +97,37 @@ void ForGroups(Executor* ex, size_t n, const std::function<void(size_t)>& fn) {
 double BlockedSum(Executor* ex, size_t n,
                   const std::function<double(size_t, size_t)>& block_sum,
                   size_t block_size) {
-  if (n == 0) return 0.0;
+  return BlockedSumPair(
+             ex, n,
+             [&block_sum](size_t begin, size_t end) {
+               return std::pair<double, double>(block_sum(begin, end), 0.0);
+             },
+             block_size)
+      .first;
+}
+
+std::pair<double, double> BlockedSumPair(
+    Executor* ex, size_t n,
+    const std::function<std::pair<double, double>(size_t, size_t)>& block_sums,
+    size_t block_size) {
+  if (n == 0) return {0.0, 0.0};
   block_size = std::max<size_t>(1, block_size);
   const size_t num_blocks = (n + block_size - 1) / block_size;
-  std::vector<double> partial(num_blocks, 0.0);
+  std::vector<std::pair<double, double>> partial(num_blocks);
   const auto run_block = [&](size_t blk) {
     const size_t begin = blk * block_size;
-    partial[blk] = block_sum(begin, std::min(n, begin + block_size));
+    partial[blk] = block_sums(begin, std::min(n, begin + block_size));
   };
   if (ex != nullptr) {
     ex->ParallelFor(num_blocks, run_block);
   } else {
     for (size_t blk = 0; blk < num_blocks; ++blk) run_block(blk);
   }
-  double total = 0.0;
-  for (size_t blk = 0; blk < num_blocks; ++blk) total += partial[blk];
+  std::pair<double, double> total(0.0, 0.0);
+  for (size_t blk = 0; blk < num_blocks; ++blk) {
+    total.first += partial[blk].first;
+    total.second += partial[blk].second;
+  }
   return total;
 }
 

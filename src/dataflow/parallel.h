@@ -106,6 +106,16 @@ double BlockedSum(Executor* ex, size_t n,
                   const std::function<double(size_t, size_t)>& block_sum,
                   size_t block_size = kBlockedSumBlock);
 
+/// BlockedSum of two accumulators in one pass: `block_sums(begin, end)`
+/// returns both partials of a block, and each accumulator is combined
+/// exactly as BlockedSum combines its one (BlockedSum is this function with
+/// the second partial unused), so `.first` is bit-identical to BlockedSum
+/// over the same first partials.
+std::pair<double, double> BlockedSumPair(
+    Executor* ex, size_t n,
+    const std::function<std::pair<double, double>(size_t, size_t)>& block_sums,
+    size_t block_size = kBlockedSumBlock);
+
 }  // namespace kbt::dataflow
 
 #endif  // KBT_DATAFLOW_PARALLEL_H_

@@ -336,11 +336,21 @@ TEST(ShardedPipelineTest, BadAppendBatchIsRejectedWhole) {
   for (uint32_t s = 0; s < 4; ++s) {
     before[s] = sharded->shard(s).dataset().size();
   }
-  // One valid observation then one carrying an invalid id: the batch must
-  // be rejected before ANY shard mutates (per-shard validation alone would
-  // have applied the valid slice).
-  auto delta = DeltaBatch(SyntheticCube(12), 1);
+  // One valid observation then one carrying an invalid id from a website
+  // another shard owns: the batch must be rejected before ANY shard
+  // mutates (per-shard validation alone would have applied the valid
+  // slice on its own shard).
+  const extract::RawDataset data = SyntheticCube(12);
+  auto delta = DeltaBatch(data, 1);
+  const uint32_t valid_shard = query::ShardOfWebsite(delta[0].website, 4, 0);
   extract::RawObservation bad = delta[0];
+  for (const extract::RawObservation& obs : data.observations) {
+    if (query::ShardOfWebsite(obs.website, 4, 0) != valid_shard) {
+      bad = obs;
+      break;
+    }
+  }
+  ASSERT_NE(query::ShardOfWebsite(bad.website, 4, 0), valid_shard);
   bad.value = kb::kInvalidId;
   delta.push_back(bad);
   const Status status = sharded->AppendObservations(delta);

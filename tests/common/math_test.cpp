@@ -1,6 +1,7 @@
 #include "common/math.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -20,6 +21,38 @@ TEST(MathTest, SigmoidExtremesDoNotOverflow) {
   EXPECT_NEAR(Sigmoid(-1000.0), 0.0, 1e-12);
   EXPECT_TRUE(std::isfinite(Sigmoid(709.0)));
   EXPECT_TRUE(std::isfinite(Sigmoid(-709.0)));
+}
+
+TEST(MathTest, SigmoidIsMonotoneOverAdjacentDoubles) {
+  // Stage I's calibration replay (core/calibration.h) is exact only if
+  // Sigmoid never decreases from one double to the next. Walk windows of
+  // adjacent doubles: a grid over [-60, 60], around 0 and the denormals,
+  // and across the exp overflow / underflow edges near +-709 and +-745.
+  std::vector<double> centers;
+  for (double c = -60.0; c <= 60.0; c += 0.37) centers.push_back(c);
+  for (double c : {0.0, 1e-300, -1e-300, 1e-16, -1e-16, 5e-324}) {
+    centers.push_back(c);
+  }
+  for (double c : {709.782712893384, 709.0, 710.0, 745.1332191019412}) {
+    centers.push_back(c);
+    centers.push_back(-c);
+  }
+  constexpr int kHalfWindow = 1000;
+  const double inf = std::numeric_limits<double>::infinity();
+  int64_t pairs = 0;
+  for (double center : centers) {
+    double x = center;
+    for (int i = 0; i < kHalfWindow; ++i) x = std::nextafter(x, -inf);
+    double prev = Sigmoid(x);
+    for (int i = 0; i < 2 * kHalfWindow; ++i) {
+      x = std::nextafter(x, inf);
+      const double cur = Sigmoid(x);
+      ASSERT_GE(cur, prev) << "x=" << x << " center=" << center;
+      prev = cur;
+      ++pairs;
+    }
+  }
+  EXPECT_GT(pairs, 600000);
 }
 
 TEST(MathTest, LogitInvertsSigmoid) {

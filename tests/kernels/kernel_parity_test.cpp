@@ -671,6 +671,47 @@ TEST(KernelParityEndToEndTest, ShardedPipelineMatchesAtKEquals2) {
   ExpectReportsBitsEq(report_s->merged, report_v->merged);
 }
 
+TEST(KernelParityEndToEndTest, ShardedServiceCubeMatchesOnEveryExecutor) {
+  // The seed-18 synthetic cube of the sharded TrustService tests, at K = 1
+  // and 2: a replayed Stage I intercept once missed the literal bisection
+  // here by a few ULPs (under a non-monotone sigmoid). The reference kind
+  // runs the literal loop, so its report is the oracle of the replay.
+  exp::SyntheticConfig config;
+  config.num_sources = 15;
+  config.num_extractors = 4;
+  config.seed = 18;
+  const extract::RawDataset cube = exp::GenerateSynthetic(config).data;
+  const auto options = [](Kind kind) {
+    api::Options o = PipelineOptions(api::Model::kMultiLayer, kind);
+    o.granularity = api::Granularity::kFinest;
+    return o;
+  };
+  for (uint32_t k : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "K=" << k);
+    api::ShardOptions shard_options;
+    shard_options.num_shards = k;
+    auto scalar = api::ShardedPipeline::Create(
+        cube, options(Kind::kScalarReference), shard_options);
+    ASSERT_TRUE(scalar.ok());
+    auto report_s = scalar->Run();
+    ASSERT_TRUE(report_s.ok());
+    for (int threads : {1, 2, 8}) {
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+      dataflow::Executor executor(threads);
+      auto vectorized = api::ShardedPipeline::Create(
+          cube, options(Kind::kVectorized), shard_options);
+      ASSERT_TRUE(vectorized.ok());
+      vectorized->AttachExecutor(&executor);
+      auto report_v = vectorized->Run();
+      ASSERT_TRUE(report_v.ok());
+      for (size_t s = 0; s < k; ++s) {
+        ExpectReportsBitsEq(report_s->shards[s], report_v->shards[s]);
+      }
+      ExpectReportsBitsEq(report_s->merged, report_v->merged);
+    }
+  }
+}
+
 TEST(KernelParityEndToEndTest, StreamTicksMatchAcrossKernels) {
   auto fixture = kbt::testing::MakeCorpusFixture(FixtureOptions());
   ASSERT_TRUE(fixture.ok());

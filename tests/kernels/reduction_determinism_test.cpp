@@ -12,7 +12,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "core/multilayer_model.h"
@@ -75,6 +77,37 @@ TEST(BlockedSumTest, MatchesTheFixedBlockProgramExactly) {
   }
   dataflow::Executor executor(4);
   ASSERT_EQ(Bits(expected), Bits(dataflow::BlockedSum(&executor, n, block_sum)));
+}
+
+TEST(BlockedSumTest, PairSumsEachAccumulatorAsBlockedSumDoes) {
+  // BlockedSumPair is BlockedSum run on two accumulators at once: each
+  // combines in block order exactly as BlockedSum would on its own.
+  const size_t n = 3 * dataflow::kBlockedSumBlock + 123;
+  const std::vector<double> xs = NastyDoubles(n, /*seed=*/7);
+  const std::vector<double> ys = NastyDoubles(n, /*seed=*/8);
+  const auto sum_of = [](const std::vector<double>& v) {
+    return [&v](size_t begin, size_t end) {
+      double s = 0.0;
+      for (size_t i = begin; i < end; ++i) s += v[i];
+      return s;
+    };
+  };
+  const auto pair_sum = [&](size_t begin, size_t end) {
+    return std::pair<double, double>(sum_of(xs)(begin, end),
+                                     sum_of(ys)(begin, end));
+  };
+  for (int threads : {0, 1, 2, 8}) {
+    SCOPED_TRACE(threads);
+    std::optional<dataflow::Executor> executor;
+    if (threads > 0) executor.emplace(threads);
+    dataflow::Executor* ex = executor ? &*executor : nullptr;
+    const auto [x_total, y_total] = dataflow::BlockedSumPair(ex, n, pair_sum);
+    ASSERT_EQ(Bits(x_total), Bits(dataflow::BlockedSum(ex, n, sum_of(xs))));
+    ASSERT_EQ(Bits(y_total), Bits(dataflow::BlockedSum(ex, n, sum_of(ys))));
+  }
+  const auto empty = dataflow::BlockedSumPair(nullptr, 0, pair_sum);
+  EXPECT_EQ(empty.first, 0.0);
+  EXPECT_EQ(empty.second, 0.0);
 }
 
 TEST(BlockedSumTest, BlockSizeIsPartOfTheResultIdentity) {
